@@ -1,12 +1,12 @@
-"""Row-blocked CSR tiling and the parallel entry points for every kernel.
+"""Row-blocked CSR tiling and the one row-block protocol behind every kernel.
 
 A :class:`BlockedCSR` is a :class:`~repro.assoc.sparse.CSRMatrix` cut into
 contiguous row blocks, each itself a small CSR matrix over the full column
 range.  Row blocking is the natural decomposition for the ESC semiring GEMM:
 ``C[i, :]`` depends only on ``A[i, :]`` and all of ``B``, so every block
 multiplies independently and results concatenate row-wise with no reduction
-step.  The same tiling parallelises ``mxv``, the element-wise ops and
-``coalesce``.
+step.  The same tiling parallelises ``mxv``, the element-wise ops, the masked
+kernels and ``coalesce``.
 
 **Bit-identical results.**  The serial kernels stable-sort expansion terms by
 ``row * n_cols + col`` and combine duplicates with ``reduceat``.  Row blocks
@@ -16,30 +16,30 @@ into exactly the serial output — including float rounding, because every
 duplicate group is reduced in the same order.  The benchmark and property
 tests assert this equality rather than assuming it.
 
-The ``parallel_*`` functions here are the dispatch targets used by
-:mod:`repro.assoc.sparse` when :func:`repro.runtime.configure` enables
-workers; they can also be called directly with an explicit config.
-
-**Zero-copy process dispatch.**  On the ``process`` backend, every entry
-point checks :meth:`~repro.runtime.config.RuntimeConfig.use_shm` against the
-total operand bytes: above the threshold, operands are exported **once** into
-:mod:`multiprocessing.shared_memory` segments (:mod:`repro.runtime.shm`) and
-each task ships only ``(segment refs, block range)``; workers attach and run
-the *same serial kernels* on the same row partition, so the per-block outputs
-— and therefore the assembled result — are bit-identical to the pickle path.
-Small operands keep the pickle path, where per-task copies are cheaper than
-the segment round trip.
+**One protocol.**  Each ``parallel_*`` kernel (dispatched from
+:mod:`repro.assoc.sparse` and :mod:`repro.assoc.planner` once workers are
+enabled) declares a serial kernel and its operands, tagged by how a block
+task sees them: :class:`_Rows` (cut to the task's ``[lo, hi)`` span),
+:class:`_Whole` (intact), or a plain constant.  One driver,
+:func:`_run_blocked`, owns obs, the executor map, the dtype cast and
+assembly; one task, :func:`_block_task`, resolves operands and runs the
+kernel.  Shared memory is only a *transport*, deciding where rows are cut:
+``inline``, the parent cuts each block into its task; ``shm``
+(:meth:`~repro.runtime.config.RuntimeConfig.use_shm`), operands are exported
+**once** into :mod:`repro.runtime.shm` segments under an ``OperandLease`` and
+each worker attaches and cuts its own block.  Same cut, same spans: the
+result is bit-identical either way.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
+from typing import Any, Callable, Iterator, NamedTuple
+
 import numpy as np
 
-from contextlib import contextmanager
-from typing import Iterator
-
 from repro.assoc import sparse as _sparse
-from repro.assoc.semiring import Monoid, PLUS_TIMES, Semiring
+from repro.assoc.semiring import Monoid, Semiring
 from repro.assoc.sparse import CSRMatrix
 from repro.errors import SparseFormatError
 from repro.obs import metrics as _obs
@@ -92,7 +92,7 @@ def _kernel_obs(
     Counts the call (``kernels.<name>``), times it into the shared
     ``kernels.wall_ms`` histogram, and — when tracing is live — opens a
     ``kernel.<name>`` span carrying backend, worker count, and nnz in;
-    callers add ``blocks``/``nnz_out`` via ``span.set(...)`` once known.
+    the driver adds ``blocks``/``route``/``nnz_out`` via ``span.set(...)``.
     Module-level and patchable on purpose: ``benchmarks/bench_obs_overhead.py``
     swaps it for a transparent no-op to price the instrumentation itself.
     """
@@ -214,376 +214,178 @@ class BlockedCSR:
             f"BlockedCSR(shape={self.shape}, n_blocks={self.n_blocks}, nnz={self.nnz})"
         )
 
-    # ------------------------------------------------------------------ #
-    # blocked kernels
-    # ------------------------------------------------------------------ #
 
-    def mxm(
-        self,
-        other: CSRMatrix,
-        semiring: Semiring = PLUS_TIMES,
-        config: RuntimeConfig | None = None,
-    ) -> "BlockedCSR":
-        """Blocked semiring product ``C = A @ B``; blocks keep their tiling."""
-        if self.shape[1] != other.shape[0]:
-            raise SparseFormatError(
-                f"inner dimension mismatch: {self.shape} @ {other.shape}"
-            )
-        cfg = get_config() if config is None else config
-        with _kernel_obs("blocked_mxm", cfg, self.nnz + other.nnz) as span:
-            span.set(blocks=self.n_blocks)
+# ---------------------------------------------------------------------- #
+# the row-block protocol: operand tags, the task, the driver
+# ---------------------------------------------------------------------- #
+
+
+class _Rows(NamedTuple):
+    """Operand each task sees cut to its ``[lo, hi)`` span (CSR rows, array positions)."""
+
+    value: Any
+
+
+class _Whole(NamedTuple):
+    """An operand each task sees intact (``mxm``'s ``B``, the ``x`` vector)."""
+
+    value: Any
+
+
+def _resolve(op: Any, lo: int, hi: int) -> Any:
+    """What a block task sees for *op*: shared-memory refs are attached,
+    ``_Rows`` are cut to ``[lo, hi)``, everything else passes through."""
+    if not isinstance(op, (_Rows, _Whole)):
+        return op
+    value = op.value
+    if isinstance(value, (_shm.CSRRef, _shm.ArrayRef)):  # shm transport
+        value = (_shm.attach_csr if isinstance(value, _shm.CSRRef) else _shm.attach_array)(value)
+    if isinstance(op, _Whole):
+        return value
+    return _slice_rows(value, lo, hi) if isinstance(value, CSRMatrix) else value[lo:hi]
+
+
+def _block_task(payload: tuple) -> Any:
+    """The one executor task (module-level so the process backend can pickle it)."""
+    kernel, ops, lo, hi = payload
+    return kernel(*(_resolve(op, lo, hi) for op in ops))
+
+
+def _export(op: Any, lease: _shm.OperandLease) -> Any:
+    """*op* with its value swapped for a shared-memory ref (constants as-is)."""
+    if not isinstance(op, (_Rows, _Whole)):
+        return op
+    csr = isinstance(op.value, CSRMatrix)
+    return type(op)((lease.export_csr if csr else lease.export_array)(op.value))
+
+
+def _run_blocked(
+    name: str,
+    config: RuntimeConfig | None,
+    kernel: Callable[..., Any],
+    ops: tuple,
+    *,
+    n_rows: int = 0,
+    work: int,
+    spans: list[tuple[int, int]] | None = None,
+    nnz_in: int | None = None,
+    out_dtype: Callable[[], np.dtype] | None = None,
+    **attrs: int,
+) -> Any:
+    """Run *kernel* over *ops* once per span; assemble a CSR, vector or triples.
+
+    *spans* default to the row tiling of an *n_rows* operand carrying *work*
+    entries.  *out_dtype* is a thunk, so user-operator dtype probes run only
+    after the dispatch; CSR blocks are cast to it.
+    """
+    cfg = get_config() if config is None else config
+    if spans is None:
+        starts = _row_starts(n_rows, choose_block_rows(n_rows, work, cfg.workers, cfg.block_rows))
+        spans = [(int(r0), int(r1)) for r0, r1 in zip(starts[:-1], starts[1:])]
+    with _kernel_obs(name, cfg, work if nnz_in is None else nnz_in) as span:
+        tagged = [op.value for op in ops if isinstance(op, (_Rows, _Whole))]
+        shared = cfg.use_shm(
+            sum(_shm.csr_nbytes(v) if isinstance(v, CSRMatrix) else int(v.nbytes) for v in tagged)
+        )
+        route = "shm" if shared else "inline"
+        span.set(blocks=len(spans), route=route, **attrs)
+        with (_shm.OperandLease() if shared else nullcontext()) as lease:
+            if lease is None:  # inline: the parent cuts and ships every block
+                tasks = [(kernel, tuple(_resolve(op, lo, hi) for op in ops), lo, hi) for lo, hi in spans]
+            else:  # shm: export once; every worker attaches and cuts its own block
+                refs = tuple(_export(op, lease) for op in ops)
+                tasks = [(kernel, refs, lo, hi) for lo, hi in spans]
             parts = get_executor(cfg).map(
-                _mxm_task,
-                [(blk, other, semiring) for blk in self.blocks],
-                label=f"mxm ({self.n_blocks} blocks)",
+                _block_task, tasks, label=f"{name} ({len(spans)} {route} blocks)"
             )
-            out_dtype = _mult_dtype(semiring.mult, self.blocks, other)
-            parts = [_cast_data(p, out_dtype) for p in parts]
-            out = BlockedCSR((self.shape[0], other.shape[1]), self.row_starts, parts)
+        if isinstance(parts[0], CSRMatrix):
+            dtype = None if out_dtype is None else out_dtype()
+            parts = [  # an empty block carries the operands' dtype, not the kernel's
+                p if dtype is None or p.dtype == dtype
+                else CSRMatrix(p.shape, p.indptr, p.indices, p.data.astype(dtype), _trusted=True)
+                for p in parts
+            ]
+            starts = [lo for lo, _ in spans] + [spans[-1][1]]
+            out = BlockedCSR((starts[-1], parts[0].shape[1]), starts, parts).to_csr()
             span.set(nnz_out=out.nnz)
-            return out
-
-    def mxv(
-        self,
-        x: np.ndarray,
-        semiring: Semiring = PLUS_TIMES,
-        config: RuntimeConfig | None = None,
-    ) -> np.ndarray:
-        """Blocked matrix-vector product (dense input and output)."""
-        x = np.asarray(x)
-        if x.shape != (self.shape[1],):
-            raise SparseFormatError(f"vector length {x.shape} != {(self.shape[1],)}")
-        cfg = get_config() if config is None else config
-        with _kernel_obs("blocked_mxv", cfg, self.nnz) as span:
-            span.set(blocks=self.n_blocks)
-            parts = get_executor(cfg).map(
-                _mxv_task,
-                [(blk, x, semiring) for blk in self.blocks],
-                label=f"mxv ({self.n_blocks} blocks)",
-            )
-            out = np.concatenate(parts) if parts else np.empty(0)
+        elif isinstance(parts[0], tuple):  # coalesce: one (rows, cols, vals) per span
+            out = tuple(np.concatenate(column) for column in zip(*parts))
+            span.set(nnz_out=int(out[0].size))
+        else:
+            out = np.concatenate(parts)
             if span is not _trace.NULL_SPAN:  # count_nonzero is O(n); trace-only
                 span.set(nnz_out=int(np.count_nonzero(out)))
-            return out
+        return out
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise SparseFormatError(message)
+
+
+def _mult_probe(mult: Callable[..., Any], a: CSRMatrix, b: CSRMatrix) -> np.dtype:
+    """The dtype *mult* gives the operands' values (one-element probe)."""
+    return np.asarray(mult(a.data[:1], b.data[:1])).dtype
+
+
+def _union_all_block(add: Monoid, mask: Any, complement: bool, *parts: CSRMatrix) -> CSRMatrix:
+    return _sparse._union_all_serial(parts, add, mask, complement)
 
 
 # ---------------------------------------------------------------------- #
-# executor task payloads (module-level so the process backend can pickle)
-# ---------------------------------------------------------------------- #
-
-
-def _mxm_task(args: tuple[CSRMatrix, CSRMatrix, Semiring]) -> CSRMatrix:
-    a_block, b, semiring = args
-    return a_block._mxm_serial(b, semiring)
-
-
-def _mxv_task(args: tuple[CSRMatrix, np.ndarray, Semiring]) -> np.ndarray:
-    block, x, semiring = args
-    return block._mxv_serial(x, semiring)
-
-
-def _ewise_union_task(args: tuple[CSRMatrix, CSRMatrix, Monoid]) -> CSRMatrix:
-    a_block, b_block, add = args
-    return a_block._ewise_union_serial(b_block, add)
-
-
-def _ewise_intersect_task(args) -> CSRMatrix:  # noqa: ANN001 - mult is any callable
-    a_block, b_block, mult = args
-    return a_block._ewise_intersect_serial(b_block, mult)
-
-
-def _coalesce_task(args: tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int], Monoid]):
-    rows, cols, vals, shape, add = args
-    return _sparse._coalesce_core(rows, cols, vals, shape, add)
-
-
-def _masked_mxm_task(args) -> CSRMatrix:  # noqa: ANN001
-    a_block, b, semiring, mask_block, out_dtype = args
-    return _sparse._masked_mxm_serial(a_block, b, semiring, mask_block, out_dtype)
-
-
-def _masked_mxv_task(args) -> np.ndarray:  # noqa: ANN001
-    a_block, x, semiring, allow_block = args
-    return _sparse._masked_mxv_serial(a_block, x, semiring, allow_block)
-
-
-def _masked_intersect_task(args) -> CSRMatrix:  # noqa: ANN001
-    a_block, b_block, mult, mask_block, complement = args
-    return _sparse._masked_intersect_serial(a_block, b_block, mult, mask_block, complement)
-
-
-def _union_all_task(args) -> CSRMatrix:  # noqa: ANN001
-    part_blocks, add, mask_block, complement = args
-    return _sparse._union_all_serial(part_blocks, add, mask_block, complement)
-
-
-# ---------------------------------------------------------------------- #
-# shared-memory task payloads (process backend above the byte threshold)
+# the kernels (dispatch targets of repro.assoc.sparse / repro.assoc.planner)
 #
-# Payloads carry only segment refs plus the block's ``[r0, r1)`` row range;
-# the worker attaches (cached per process, see repro.runtime.shm), slices its
-# rows zero-copy with the same ``_slice_rows`` the parent-side tiling uses,
-# and runs the identical serial kernel — so each block's output matches the
-# pickle path bit-for-bit and assembly is unchanged.
+# Masks share the operand's row tiling, so each block task sees exactly the
+# mask rows it owns; masked filtering is per-row, so a row partition of the
+# masked kernel is a partition of the masked serial output.
 # ---------------------------------------------------------------------- #
-
-
-def _shm_mxm_task(args) -> CSRMatrix:  # noqa: ANN001
-    a_ref, b_ref, r0, r1, semiring = args
-    a_block = _slice_rows(_shm.attach_csr(a_ref), r0, r1)
-    return a_block._mxm_serial(_shm.attach_csr(b_ref), semiring)
-
-
-def _shm_mxv_task(args) -> np.ndarray:  # noqa: ANN001
-    a_ref, x_ref, r0, r1, semiring = args
-    a_block = _slice_rows(_shm.attach_csr(a_ref), r0, r1)
-    return a_block._mxv_serial(_shm.attach_array(x_ref), semiring)
-
-
-def _shm_ewise_union_task(args) -> CSRMatrix:  # noqa: ANN001
-    a_ref, b_ref, r0, r1, add = args
-    a_block = _slice_rows(_shm.attach_csr(a_ref), r0, r1)
-    b_block = _slice_rows(_shm.attach_csr(b_ref), r0, r1)
-    return a_block._ewise_union_serial(b_block, add)
-
-
-def _shm_ewise_intersect_task(args) -> CSRMatrix:  # noqa: ANN001
-    a_ref, b_ref, r0, r1, mult = args
-    a_block = _slice_rows(_shm.attach_csr(a_ref), r0, r1)
-    b_block = _slice_rows(_shm.attach_csr(b_ref), r0, r1)
-    return a_block._ewise_intersect_serial(b_block, mult)
-
-
-def _shm_coalesce_task(args):  # noqa: ANN001
-    r_ref, c_ref, v_ref, lo, hi, shape, add = args
-    rows = _shm.attach_array(r_ref)[lo:hi]
-    cols = _shm.attach_array(c_ref)[lo:hi]
-    vals = _shm.attach_array(v_ref)[lo:hi]
-    return _sparse._coalesce_core(rows, cols, vals, shape, add)
-
-
-def _shm_masked_mxm_task(args) -> CSRMatrix:  # noqa: ANN001
-    a_ref, b_ref, mask_ref, r0, r1, semiring, out_dtype = args
-    a_block = _slice_rows(_shm.attach_csr(a_ref), r0, r1)
-    mask_block = _slice_rows(_shm.attach_csr(mask_ref), r0, r1)
-    return _sparse._masked_mxm_serial(
-        a_block, _shm.attach_csr(b_ref), semiring, mask_block, out_dtype
-    )
-
-
-def _shm_masked_mxv_task(args) -> np.ndarray:  # noqa: ANN001
-    a_ref, x_ref, allow_ref, r0, r1, semiring = args
-    a_block = _slice_rows(_shm.attach_csr(a_ref), r0, r1)
-    allow_block = _shm.attach_array(allow_ref)[r0:r1]
-    return _sparse._masked_mxv_serial(a_block, _shm.attach_array(x_ref), semiring, allow_block)
-
-
-def _shm_masked_intersect_task(args) -> CSRMatrix:  # noqa: ANN001
-    a_ref, b_ref, mask_ref, r0, r1, mult, complement = args
-    a_block = _slice_rows(_shm.attach_csr(a_ref), r0, r1)
-    b_block = _slice_rows(_shm.attach_csr(b_ref), r0, r1)
-    mask_block = _slice_rows(_shm.attach_csr(mask_ref), r0, r1)
-    return _sparse._masked_intersect_serial(a_block, b_block, mult, mask_block, complement)
-
-
-def _shm_union_all_task(args) -> CSRMatrix:  # noqa: ANN001
-    part_refs, add, mask_ref, complement, r0, r1 = args
-    part_blocks = [_slice_rows(_shm.attach_csr(ref), r0, r1) for ref in part_refs]
-    mask_block = None if mask_ref is None else _slice_rows(_shm.attach_csr(mask_ref), r0, r1)
-    return _sparse._union_all_serial(part_blocks, add, mask_block, complement)
-
-
-# ---------------------------------------------------------------------- #
-# dtype normalisation
-# ---------------------------------------------------------------------- #
-
-
-def _mult_dtype(mult, blocks: list[CSRMatrix], other: CSRMatrix) -> np.dtype:  # noqa: ANN001
-    """The dtype the serial kernel's product values would carry.
-
-    Blocks whose expansion is empty short-circuit to ``result_type(a, b)``
-    in the serial kernel, which can disagree with the multiplicative
-    operator's output dtype (e.g. ``land`` on int64 data yields bool).  A
-    one-element probe pins the authoritative dtype so every block matches the
-    serial result exactly.
-    """
-    for blk in blocks:
-        if blk.nnz and other.nnz:
-            return np.asarray(mult(blk.data[:1], other.data[:1])).dtype
-    return np.result_type(
-        blocks[0].dtype if blocks else np.int64, other.dtype
-    )
-
-
-def _pair_dtype(mult, a: CSRMatrix, b: CSRMatrix) -> np.dtype:  # noqa: ANN001
-    """Whole-matrix form of :func:`_mult_dtype` for the shared-memory path.
-
-    Equivalent by construction: the first non-empty row block's leading value
-    *is* ``a.data[0]`` (earlier blocks are empty), and empty blocks inherit
-    the parent dtype, so both probes pin the same authoritative dtype.
-    """
-    if a.nnz and b.nnz:
-        return np.asarray(mult(a.data[:1], b.data[:1])).dtype
-    return np.result_type(a.dtype, b.dtype)
-
-
-def _cast_data(part: CSRMatrix, dtype: np.dtype) -> CSRMatrix:
-    if part.dtype == dtype:
-        return part
-    return CSRMatrix(
-        part.shape,
-        part.indptr,
-        part.indices,
-        part.data.astype(dtype, copy=False),
-        _trusted=True,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# parallel entry points (dispatch targets of repro.assoc.sparse)
-# ---------------------------------------------------------------------- #
-
-
-def _blocked_operand(a: CSRMatrix, work: int, cfg: RuntimeConfig) -> BlockedCSR:
-    block_rows = choose_block_rows(a.shape[0], work, cfg.workers, cfg.block_rows)
-    return BlockedCSR.from_csr(a, block_rows)
-
-
-def _shared_starts(n_rows: int, work: int, cfg: RuntimeConfig) -> np.ndarray:
-    """The row partition both dispatch paths use for an *n_rows* operand."""
-    block_rows = choose_block_rows(n_rows, work, cfg.workers, cfg.block_rows)
-    return _row_starts(n_rows, block_rows)
 
 
 def parallel_mxm(
     a: CSRMatrix, b: CSRMatrix, semiring: Semiring, config: RuntimeConfig | None = None
 ) -> CSRMatrix:
     """Row-blocked parallel ESC product, bit-identical to ``a.mxm(b)`` serial."""
-    cfg = get_config() if config is None else config
-    with _kernel_obs("parallel_mxm", cfg, a.nnz + b.nnz) as span:
-        if cfg.use_shm(_shm.csr_nbytes(a) + _shm.csr_nbytes(b)):
-            if a.shape[1] != b.shape[0]:
-                raise SparseFormatError(f"inner dimension mismatch: {a.shape} @ {b.shape}")
-            starts = _shared_starts(a.shape[0], a.nnz, cfg)
-            span.set(blocks=len(starts) - 1, route="shm")
-            with _shm.OperandLease() as lease:
-                a_ref = lease.export_csr(a)
-                b_ref = lease.export_csr(b)
-                tasks = [
-                    (a_ref, b_ref, int(r0), int(r1), semiring)
-                    for r0, r1 in zip(starts[:-1], starts[1:])
-                ]
-                parts = get_executor(cfg).map(
-                    _shm_mxm_task, tasks, label=f"parallel_mxm ({len(tasks)} shm blocks)"
-                )
-            out_dtype = _pair_dtype(semiring.mult, a, b)
-            parts = [_cast_data(p, out_dtype) for p in parts]
-            out = BlockedCSR((a.shape[0], b.shape[1]), starts, parts).to_csr()
-        else:
-            blocked = _blocked_operand(a, a.nnz, cfg)
-            span.set(blocks=blocked.n_blocks, route="pickle")
-            out = blocked.mxm(b, semiring, cfg).to_csr()
-        span.set(nnz_out=out.nnz)
-        return out
+    _check(a.shape[1] == b.shape[0], f"inner dimension mismatch: {a.shape} @ {b.shape}")
+    return _run_blocked(
+        "parallel_mxm", config, CSRMatrix._mxm_serial, (_Rows(a), _Whole(b), semiring),
+        n_rows=a.shape[0], work=a.nnz, nnz_in=a.nnz + b.nnz,
+        out_dtype=lambda: _sparse._mxm_out_dtype(a, b, semiring.mult),
+    )
 
 
 def parallel_mxv(
     a: CSRMatrix, x: np.ndarray, semiring: Semiring, config: RuntimeConfig | None = None
 ) -> np.ndarray:
     """Row-blocked parallel matrix-vector product."""
-    cfg = get_config() if config is None else config
-    x_arr = np.asarray(x)
-    with _kernel_obs("parallel_mxv", cfg, a.nnz) as span:
-        if cfg.use_shm(_shm.csr_nbytes(a) + int(x_arr.nbytes)):
-            if x_arr.shape != (a.shape[1],):
-                raise SparseFormatError(f"vector length {x_arr.shape} != {(a.shape[1],)}")
-            starts = _shared_starts(a.shape[0], a.nnz, cfg)
-            span.set(blocks=len(starts) - 1, route="shm")
-            with _shm.OperandLease() as lease:
-                a_ref = lease.export_csr(a)
-                x_ref = lease.export_array(x_arr)
-                tasks = [
-                    (a_ref, x_ref, int(r0), int(r1), semiring)
-                    for r0, r1 in zip(starts[:-1], starts[1:])
-                ]
-                parts = get_executor(cfg).map(
-                    _shm_mxv_task, tasks, label=f"parallel_mxv ({len(tasks)} shm blocks)"
-                )
-            return np.concatenate(parts) if parts else np.empty(0)
-        span.set(route="pickle")
-        return _blocked_operand(a, a.nnz, cfg).mxv(x_arr, semiring, cfg)
+    x = np.asarray(x)
+    _check(x.shape == (a.shape[1],), f"vector length {x.shape} != {(a.shape[1],)}")
+    return _run_blocked(
+        "parallel_mxv", config, CSRMatrix._mxv_serial, (_Rows(a), _Whole(x), semiring),
+        n_rows=a.shape[0], work=a.nnz,
+    )
 
 
 def parallel_ewise_union(
     a: CSRMatrix, b: CSRMatrix, add: Monoid, config: RuntimeConfig | None = None
 ) -> CSRMatrix:
     """Row-blocked element-wise union: both operands share one tiling."""
-    cfg = get_config() if config is None else config
-    starts = _shared_starts(a.shape[0], a.nnz + b.nnz, cfg)
-    spans = list(zip(starts[:-1], starts[1:]))
-    with _kernel_obs("parallel_ewise_union", cfg, a.nnz + b.nnz) as span:
-        span.set(blocks=len(spans))
-        if cfg.use_shm(_shm.csr_nbytes(a) + _shm.csr_nbytes(b)):
-            span.set(route="shm")
-            with _shm.OperandLease() as lease:
-                a_ref = lease.export_csr(a)
-                b_ref = lease.export_csr(b)
-                tasks = [(a_ref, b_ref, int(r0), int(r1), add) for r0, r1 in spans]
-                parts = get_executor(cfg).map(
-                    _shm_ewise_union_task,
-                    tasks,
-                    label=f"parallel_ewise_union ({len(tasks)} shm blocks)",
-                )
-        else:
-            pickled = [
-                (_slice_rows(a, int(r0), int(r1)), _slice_rows(b, int(r0), int(r1)), add)
-                for r0, r1 in spans
-            ]
-            parts = get_executor(cfg).map(
-                _ewise_union_task, pickled, label=f"parallel_ewise_union ({len(pickled)} blocks)"
-            )
-        out_dtype = np.result_type(a.dtype, b.dtype)
-        parts = [_cast_data(p, out_dtype) for p in parts]
-        out = BlockedCSR(a.shape, starts, parts).to_csr()
-        span.set(nnz_out=out.nnz)
-        return out
+    a._check_shape(b)
+    return _run_blocked(
+        "parallel_ewise_union", config, CSRMatrix._ewise_union_serial, (_Rows(a), _Rows(b), add),
+        n_rows=a.shape[0], work=a.nnz + b.nnz, out_dtype=lambda: np.result_type(a.dtype, b.dtype),
+    )
 
 
 def parallel_ewise_intersect(
     a: CSRMatrix, b: CSRMatrix, mult, config: RuntimeConfig | None = None  # noqa: ANN001
 ) -> CSRMatrix:
     """Row-blocked element-wise intersection."""
-    cfg = get_config() if config is None else config
-    starts = _shared_starts(a.shape[0], a.nnz + b.nnz, cfg)
-    spans = list(zip(starts[:-1], starts[1:]))
-    with _kernel_obs("parallel_ewise_intersect", cfg, a.nnz + b.nnz) as span:
-        span.set(blocks=len(spans))
-        if cfg.use_shm(_shm.csr_nbytes(a) + _shm.csr_nbytes(b)):
-            span.set(route="shm")
-            with _shm.OperandLease() as lease:
-                a_ref = lease.export_csr(a)
-                b_ref = lease.export_csr(b)
-                tasks = [(a_ref, b_ref, int(r0), int(r1), mult) for r0, r1 in spans]
-                parts = get_executor(cfg).map(
-                    _shm_ewise_intersect_task,
-                    tasks,
-                    label=f"parallel_ewise_intersect ({len(tasks)} shm blocks)",
-                )
-        else:
-            pickled = [
-                (_slice_rows(a, int(r0), int(r1)), _slice_rows(b, int(r0), int(r1)), mult)
-                for r0, r1 in spans
-            ]
-            parts = get_executor(cfg).map(
-                _ewise_intersect_task,
-                pickled,
-                label=f"parallel_ewise_intersect ({len(pickled)} blocks)",
-            )
-        out_dtype = np.asarray(mult(a.data[:1], b.data[:1])).dtype
-        parts = [_cast_data(p, out_dtype) for p in parts]
-        out = BlockedCSR(a.shape, starts, parts).to_csr()
-        span.set(nnz_out=out.nnz)
-        return out
+    a._check_shape(b)
+    return _run_blocked(
+        "parallel_ewise_intersect", config, CSRMatrix._ewise_intersect_serial,
+        (_Rows(a), _Rows(b), mult), n_rows=a.shape[0], work=a.nnz + b.nnz,
+        out_dtype=lambda: _mult_probe(mult, a, b),
+    )
 
 
 def parallel_coalesce(
@@ -600,6 +402,8 @@ def parallel_coalesce(
     original relative order inside exactly one block, so per-block stable
     sorts and ``reduceat`` reproduce the serial output bit-for-bit.
     """
+    same = rows.ndim == 1 and rows.shape == cols.shape == vals.shape
+    _check(same, f"triple arrays must be equal-length 1-D, got {rows.shape}, {cols.shape}")
     cfg = get_config() if config is None else config
     n_rows = shape[0]
     block_rows = choose_block_rows(n_rows, rows.size, cfg.workers, cfg.block_rows)
@@ -608,44 +412,15 @@ def parallel_coalesce(
         # zero triples would leave every block empty below (nothing to
         # concatenate); the serial core already handles that shape exactly
         return _sparse._coalesce_core(rows, cols, vals, shape, add)
-    with _kernel_obs("parallel_coalesce", cfg, int(rows.size)) as span:
-        block_id = rows // np.int64(block_rows)
-        order = np.argsort(block_id, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        counts = np.bincount(block_id, minlength=n_blocks)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        span.set(blocks=len(spans))
-        if cfg.use_shm(int(rows.nbytes + cols.nbytes + vals.nbytes)):
-            span.set(route="shm")
-            with _shm.OperandLease() as lease:
-                r_ref = lease.export_array(rows)
-                c_ref = lease.export_array(cols)
-                v_ref = lease.export_array(vals)
-                tasks = [(r_ref, c_ref, v_ref, lo, hi, shape, add) for lo, hi in spans]
-                parts = get_executor(cfg).map(
-                    _shm_coalesce_task, tasks, label=f"parallel_coalesce ({len(tasks)} shm blocks)"
-                )
-        else:
-            pickled = [(rows[lo:hi], cols[lo:hi], vals[lo:hi], shape, add) for lo, hi in spans]
-            parts = get_executor(cfg).map(
-                _coalesce_task, pickled, label=f"parallel_coalesce ({len(pickled)} blocks)"
-            )
-        out_r = np.concatenate([p[0] for p in parts])
-        out_c = np.concatenate([p[1] for p in parts])
-        out_v = np.concatenate([p[2] for p in parts])
-        span.set(nnz_out=int(out_r.size))
-        return out_r, out_c, out_v
-
-
-# ---------------------------------------------------------------------- #
-# masked parallel entry points (dispatch targets of repro.assoc.planner)
-#
-# The mask shares the operand's row tiling, so each block task sees exactly
-# the mask rows it owns; the bit-identity argument is unchanged — masked
-# filtering is per-row, so a row partition of the masked kernel is a
-# partition of the masked serial output.
-# ---------------------------------------------------------------------- #
+    block_id = rows // np.int64(block_rows)
+    order = np.argsort(block_id, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(block_id, minlength=n_blocks))])
+    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    return _run_blocked(
+        "parallel_coalesce", cfg, _sparse._coalesce_core,
+        (_Rows(rows[order]), _Rows(cols[order]), _Rows(vals[order]), shape, add),
+        spans=spans, work=int(rows.size),
+    )
 
 
 def parallel_masked_mxm(
@@ -657,39 +432,16 @@ def parallel_masked_mxm(
 ) -> CSRMatrix:
     """Row-blocked fused masked product, bit-identical to the serial masked
     kernel (and therefore to eager-then-filter)."""
-    cfg = get_config() if config is None else config
-    starts = _shared_starts(a.shape[0], a.nnz, cfg)
-    spans = list(zip(starts[:-1], starts[1:]))
+    _check(a.shape[1] == b.shape[0], f"inner dimension mismatch: {a.shape} @ {b.shape}")
+    out_shape = (a.shape[0], b.shape[1])
+    _check(mask.shape == out_shape, f"mask shape {mask.shape} != product shape {out_shape}")
     out_dtype = _sparse._mxm_out_dtype(a, b, semiring.mult)
-    with _kernel_obs("parallel_masked_mxm", cfg, a.nnz + b.nnz) as span:
-        span.set(blocks=len(spans), mask_nnz=mask.nnz)
-        if cfg.use_shm(_shm.csr_nbytes(a) + _shm.csr_nbytes(b) + _shm.csr_nbytes(mask)):
-            span.set(route="shm")
-            with _shm.OperandLease() as lease:
-                a_ref = lease.export_csr(a)
-                b_ref = lease.export_csr(b)
-                mask_ref = lease.export_csr(mask)
-                tasks = [
-                    (a_ref, b_ref, mask_ref, int(r0), int(r1), semiring, out_dtype)
-                    for r0, r1 in spans
-                ]
-                parts = get_executor(cfg).map(
-                    _shm_masked_mxm_task,
-                    tasks,
-                    label=f"parallel_masked_mxm ({len(tasks)} shm blocks)",
-                )
-        else:
-            pickled = [
-                (_slice_rows(a, int(r0), int(r1)), b, semiring, _slice_rows(mask, int(r0), int(r1)), out_dtype)
-                for r0, r1 in spans
-            ]
-            parts = get_executor(cfg).map(
-                _masked_mxm_task, pickled, label=f"parallel_masked_mxm ({len(pickled)} blocks)"
-            )
-        parts = [_cast_data(p, out_dtype) for p in parts]
-        out = BlockedCSR((a.shape[0], b.shape[1]), starts, parts).to_csr()
-        span.set(nnz_out=out.nnz)
-        return out
+    return _run_blocked(
+        "parallel_masked_mxm", config, _sparse._masked_mxm_serial,
+        (_Rows(a), _Whole(b), semiring, _Rows(mask), out_dtype),
+        n_rows=a.shape[0], work=a.nnz, nnz_in=a.nnz + b.nnz,
+        out_dtype=lambda: out_dtype, mask_nnz=mask.nnz,
+    )
 
 
 def parallel_masked_mxv(
@@ -700,34 +452,14 @@ def parallel_masked_mxv(
     config: RuntimeConfig | None = None,
 ) -> np.ndarray:
     """Row-blocked masked matrix-vector product."""
-    cfg = get_config() if config is None else config
-    starts = _shared_starts(a.shape[0], a.nnz, cfg)
-    spans = list(zip(starts[:-1], starts[1:]))
-    x_arr = np.asarray(x)
-    allow_arr = np.asarray(allow)
-    with _kernel_obs("parallel_masked_mxv", cfg, a.nnz) as span:
-        span.set(blocks=len(spans))
-        if cfg.use_shm(_shm.csr_nbytes(a) + int(x_arr.nbytes + allow_arr.nbytes)):
-            span.set(route="shm")
-            with _shm.OperandLease() as lease:
-                a_ref = lease.export_csr(a)
-                x_ref = lease.export_array(x_arr)
-                allow_ref = lease.export_array(allow_arr)
-                tasks = [(a_ref, x_ref, allow_ref, int(r0), int(r1), semiring) for r0, r1 in spans]
-                parts = get_executor(cfg).map(
-                    _shm_masked_mxv_task,
-                    tasks,
-                    label=f"parallel_masked_mxv ({len(tasks)} shm blocks)",
-                )
-        else:
-            pickled = [
-                (_slice_rows(a, int(r0), int(r1)), x_arr, semiring, allow_arr[int(r0):int(r1)])
-                for r0, r1 in spans
-            ]
-            parts = get_executor(cfg).map(
-                _masked_mxv_task, pickled, label=f"parallel_masked_mxv ({len(pickled)} blocks)"
-            )
-        return np.concatenate(parts) if parts else np.empty(0)
+    x = np.asarray(x)
+    allow = np.asarray(allow)
+    _check(x.shape == (a.shape[1],), f"vector length {x.shape} != {(a.shape[1],)}")
+    _check(allow.shape == (a.shape[0],), f"allow length {allow.shape} != {(a.shape[0],)}")
+    return _run_blocked(
+        "parallel_masked_mxv", config, _sparse._masked_mxv_serial,
+        (_Rows(a), _Whole(x), semiring, _Rows(allow)), n_rows=a.shape[0], work=a.nnz,
+    )
 
 
 def parallel_masked_intersect(
@@ -739,47 +471,14 @@ def parallel_masked_intersect(
     config: RuntimeConfig | None = None,
 ) -> CSRMatrix:
     """Row-blocked fused masked element-wise intersection."""
-    cfg = get_config() if config is None else config
-    starts = _shared_starts(a.shape[0], a.nnz + b.nnz, cfg)
-    spans = list(zip(starts[:-1], starts[1:]))
-    with _kernel_obs("parallel_masked_intersect", cfg, a.nnz + b.nnz) as span:
-        span.set(blocks=len(spans), mask_nnz=mask.nnz)
-        if cfg.use_shm(_shm.csr_nbytes(a) + _shm.csr_nbytes(b) + _shm.csr_nbytes(mask)):
-            span.set(route="shm")
-            with _shm.OperandLease() as lease:
-                a_ref = lease.export_csr(a)
-                b_ref = lease.export_csr(b)
-                mask_ref = lease.export_csr(mask)
-                tasks = [
-                    (a_ref, b_ref, mask_ref, int(r0), int(r1), mult, complement)
-                    for r0, r1 in spans
-                ]
-                parts = get_executor(cfg).map(
-                    _shm_masked_intersect_task,
-                    tasks,
-                    label=f"parallel_masked_intersect ({len(tasks)} shm blocks)",
-                )
-        else:
-            pickled = [
-                (
-                    _slice_rows(a, int(r0), int(r1)),
-                    _slice_rows(b, int(r0), int(r1)),
-                    mult,
-                    _slice_rows(mask, int(r0), int(r1)),
-                    complement,
-                )
-                for r0, r1 in spans
-            ]
-            parts = get_executor(cfg).map(
-                _masked_intersect_task,
-                pickled,
-                label=f"parallel_masked_intersect ({len(pickled)} blocks)",
-            )
-        out_dtype = np.asarray(mult(a.data[:1], b.data[:1])).dtype
-        parts = [_cast_data(p, out_dtype) for p in parts]
-        out = BlockedCSR(a.shape, starts, parts).to_csr()
-        span.set(nnz_out=out.nnz)
-        return out
+    a._check_shape(b)
+    a._check_shape(mask)
+    return _run_blocked(
+        "parallel_masked_intersect", config, _sparse._masked_intersect_serial,
+        (_Rows(a), _Rows(b), mult, _Rows(mask), complement),
+        n_rows=a.shape[0], work=a.nnz + b.nnz,
+        out_dtype=lambda: _mult_probe(mult, a, b), mask_nnz=mask.nnz,
+    )
 
 
 def parallel_union_all(
@@ -791,44 +490,11 @@ def parallel_union_all(
 ) -> CSRMatrix:
     """Row-blocked n-ary fused union (optionally masked): every operand
     shares one tiling; each block concatenates its slices and coalesces once."""
-    cfg = get_config() if config is None else config
-    shape = parts[0].shape
-    work = sum(p.nnz for p in parts)
-    starts = _shared_starts(shape[0], work, cfg)
-    spans = list(zip(starts[:-1], starts[1:]))
-    operand_bytes = sum(_shm.csr_nbytes(p) for p in parts) + (
-        0 if mask is None else _shm.csr_nbytes(mask)
+    for other in [*parts[1:], *([] if mask is None else [mask])]:
+        parts[0]._check_shape(other)
+    return _run_blocked(
+        "parallel_union_all", config, _union_all_block,
+        (add, None if mask is None else _Rows(mask), complement, *map(_Rows, parts)),
+        n_rows=parts[0].shape[0], work=sum(p.nnz for p in parts),
+        out_dtype=lambda: np.result_type(*(p.dtype for p in parts)), parts=len(parts),
     )
-    with _kernel_obs("parallel_union_all", cfg, work) as span:
-        span.set(blocks=len(spans), parts=len(parts))
-        if cfg.use_shm(operand_bytes):
-            span.set(route="shm")
-            with _shm.OperandLease() as lease:
-                part_refs = tuple(lease.export_csr(p) for p in parts)
-                mask_ref = None if mask is None else lease.export_csr(mask)
-                tasks = [
-                    (part_refs, add, mask_ref, complement, int(r0), int(r1)) for r0, r1 in spans
-                ]
-                blocks = get_executor(cfg).map(
-                    _shm_union_all_task,
-                    tasks,
-                    label=f"parallel_union_all ({len(tasks)} shm blocks)",
-                )
-        else:
-            pickled = [
-                (
-                    [_slice_rows(p, int(r0), int(r1)) for p in parts],
-                    add,
-                    None if mask is None else _slice_rows(mask, int(r0), int(r1)),
-                    complement,
-                )
-                for r0, r1 in spans
-            ]
-            blocks = get_executor(cfg).map(
-                _union_all_task, pickled, label=f"parallel_union_all ({len(pickled)} blocks)"
-            )
-        out_dtype = np.result_type(*(p.dtype for p in parts))
-        blocks = [_cast_data(p, out_dtype) for p in blocks]
-        out = BlockedCSR(shape, starts, blocks).to_csr()
-        span.set(nnz_out=out.nnz)
-        return out

@@ -70,9 +70,10 @@ class RuntimeConfig:
         Operand-size floor (bytes) above which the ``process`` backend ships
         operands through :mod:`multiprocessing.shared_memory` segments instead
         of pickling a copy into every row-block task (see
-        :mod:`repro.runtime.shm`).  Small operands keep the pickle path — the
-        segment round trip only pays for itself once the per-task copies
-        dominate.  ``None`` disables the shared-memory plane entirely.
+        :mod:`repro.runtime.shm`).  Small operands stay on the inline
+        transport — the segment round trip only pays for itself once the
+        per-task copies dominate.  ``None`` disables the shared-memory plane
+        entirely.
     tracing:
         Whether the :mod:`repro.obs` span tracer is live.  Off by default —
         the always-on metrics registry never depends on this flag; tracing

@@ -1,13 +1,13 @@
-"""Shared-memory operand plane for the ``process`` backend (zero-copy reads).
+"""Shared-memory transport of the row-block protocol (``process`` backend).
 
-The pickling process path copies every operand into every row-block task:
+The inline transport pickles every operand into every row-block task:
 an ``mxm`` cut into 16 blocks ships 16 full pickles of ``B`` through the
 executor queue.  This module replaces those copies with
 :mod:`multiprocessing.shared_memory` segments: the dispatching process
 exports each operand **once** (one memcpy into a segment), task payloads
 carry only ``(segment names, dtype, shape, block range)``, and every worker
 attaches to the same segment and reads its block zero-copy.  Results still
-stream back per block and are assembled exactly as on the pickle path, so
+stream back per block and are assembled exactly as on the inline path, so
 the serial ≡ blocked bit-identity contract is untouched — the plane changes
 how bytes travel, never what is computed.
 

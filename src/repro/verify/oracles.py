@@ -120,9 +120,10 @@ class KernelEqualityOracle:
     The corpus matrix is converted to CSR and pushed through every kernel the
     blocked engine parallelises (``mxm``, ``mxv``, ``ewise_union``,
     ``ewise_intersect``, ``coalesce``) twice: once on the plain serial path
-    and once through :class:`~repro.assoc.blocked.BlockedCSR` tiling with a
-    deliberately tiny ``block_rows`` so every matrix splits into several
-    blocks.  Results must be identical to the bit (values, structure, dtype).
+    and once through the row-blocked ``parallel_*`` entry points of
+    :mod:`repro.assoc.blocked` with a deliberately tiny ``block_rows`` so
+    every matrix splits into several blocks.  Results must be identical to
+    the bit (values, structure, dtype).
 
     The blocked evaluation runs on a serial executor by design: the *math*
     of the tiled decomposition is what differential testing probes here, and

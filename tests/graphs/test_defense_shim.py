@@ -1,17 +1,13 @@
-"""The deprecated ``repro.graphs.defense`` attribute shim, locked down.
+"""``repro.graphs.defense`` is the submodule; the function is ``defense_pattern``.
 
-The ``defense`` *function* registers as ``defense_pattern`` (its natural
-name belongs to the submodule); attribute access to ``repro.graphs.defense``
-returns a deprecated alias that is callable as the function and forwards
-attributes to the submodule.  These tests pin the whole contract: warning
-cadence, both call idioms, attribute forwarding, and alias resolution in the
-scenario registry.
+The ``defense`` *function* registers as ``defense_pattern`` because its
+natural name belongs to the submodule; the scenario registry still resolves
+the ``defense`` spec name as an alias.  These tests pin both halves.
 """
 
 import importlib
 import warnings
 
-import numpy as np
 import pytest
 
 import repro.graphs
@@ -20,51 +16,10 @@ from repro.scenarios import REGISTRY_ALIASES, get_generator
 defense_module = importlib.import_module("repro.graphs.defense")
 
 
-def _touch_defense_attr():
-    """One fixed call site for the deprecated attribute access."""
-    return repro.graphs.defense
-
-
-class TestWarningCadence:
-    def test_attribute_access_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="defense_pattern"):
-            _touch_defense_attr()
-
-    def test_warning_emitted_once_per_call_site_under_default_filter(self):
-        """The default 'default' filter dedupes by call location, so a loop
-        over one call site sees exactly one warning."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(5):
-                _touch_defense_attr()
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-
-    def test_each_access_warns_under_always_filter(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _touch_defense_attr()
-            _touch_defense_attr()
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 2
-
-
-class TestBothIdiomsKeepWorking:
-    def test_alias_is_callable_as_the_function(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_alias = repro.graphs.defense(10, packets=2)
-        direct = repro.graphs.defense_pattern(10, packets=2)
-        assert via_alias == direct
-        assert np.array_equal(via_alias.packets, direct.packets)
-
-    def test_alias_forwards_attributes_to_the_submodule(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            alias = repro.graphs.defense
-        assert alias.security is defense_module.security
-        assert alias.deterrence is defense_module.deterrence
-        assert alias.DEFENSE_CONCEPTS is defense_module.DEFENSE_CONCEPTS
+class TestSubmoduleAttribute:
+    def test_attribute_is_the_submodule(self):
+        assert repro.graphs.defense is defense_module
+        assert repro.graphs.defense.defense is repro.graphs.defense_pattern
 
     def test_submodule_import_is_unaffected_and_silent(self):
         with warnings.catch_warnings():

@@ -9,7 +9,6 @@ from repro.core.traffic_matrix import TrafficMatrix
 from repro.errors import ShapeError
 from repro.graphs import ddos
 
-# the submodule, not the deprecated function alias ``repro.graphs.defense``
 defense = importlib.import_module("repro.graphs.defense")
 from repro.graphs.compose import overlay
 from repro.graphs.firewall import (

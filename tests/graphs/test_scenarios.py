@@ -9,8 +9,6 @@ from repro.core.spaces import NetworkSpace as S
 from repro.errors import ShapeError
 from repro.graphs import attack, ddos
 
-# ``repro.graphs.defense`` as an attribute is the deprecated function alias;
-# the submodule is reached through the import system (as modules.library does).
 defense = importlib.import_module("repro.graphs.defense")
 
 

@@ -69,6 +69,64 @@ class TestKernelSpans:
         assert obs_trace.get_tracer() is obs_trace.NULL_TRACER
 
 
+def _kernel_calls():
+    """One call per parallel entry point, each big enough to cut into blocks."""
+    from repro.assoc import blocked
+    from repro.assoc.semiring import PLUS_MONOID
+
+    rng = np.random.default_rng(8)
+    a, b, mask = (_rand_csr(rng, 96, 900) for _ in range(3))
+    x = rng.standard_normal(96)
+    allow = rng.integers(0, 2, 96).astype(bool)
+    rows, cols, vals = (np.concatenate([t, t]) for t in a.triples())
+    return {
+        "parallel_mxm": lambda: blocked.parallel_mxm(a, b, PLUS_TIMES),
+        "parallel_mxv": lambda: blocked.parallel_mxv(a, x, PLUS_TIMES),
+        "parallel_ewise_union": lambda: blocked.parallel_ewise_union(a, b, PLUS_MONOID),
+        "parallel_ewise_intersect": lambda: blocked.parallel_ewise_intersect(a, b, np.multiply),
+        "parallel_coalesce": lambda: blocked.parallel_coalesce(
+            rows, cols, vals, a.shape, PLUS_MONOID
+        ),
+        "parallel_masked_mxm": lambda: blocked.parallel_masked_mxm(a, b, PLUS_TIMES, mask),
+        "parallel_masked_mxv": lambda: blocked.parallel_masked_mxv(a, x, PLUS_TIMES, allow),
+        "parallel_masked_intersect": lambda: blocked.parallel_masked_intersect(
+            a, b, np.multiply, mask, False
+        ),
+        "parallel_union_all": lambda: blocked.parallel_union_all(
+            [a, b], PLUS_MONOID, mask, True
+        ),
+    }
+
+
+class TestOneRecordPerKernelCall:
+    """Each dispatch counts once, times once and opens one span naming its route."""
+
+    @pytest.mark.parametrize("kernel", sorted(_kernel_calls()))
+    @pytest.mark.parametrize(
+        "transport", [("thread", None, "inline"), ("process", 0, "shm")], ids=["inline", "shm"]
+    )
+    def test_one_counter_span_and_sample(self, kernel, transport):
+        backend, shm_min_bytes, route = transport
+        call = _kernel_calls()[kernel]  # operands built before workers are on
+        runtime.configure(
+            workers=2, backend=backend, min_parallel_work=1, block_rows=16,
+            shm_min_bytes=shm_min_bytes, tracing=True,
+        )
+        call()
+        counters = {
+            name: obs_metrics.counter(name).value
+            for name in obs_metrics.get_registry().names()
+            if name.startswith("kernels.") and name != "kernels.wall_ms"
+        }
+        assert counters == {f"kernels.{kernel}": 1}
+        assert obs_metrics.histogram("kernels.wall_ms").count == 1
+        spans = [r for r in obs_trace.get_tracer().spans() if r.name.startswith("kernel.")]
+        assert [r.name for r in spans] == [f"kernel.{kernel}"]
+        attrs = dict(spans[0].attrs)
+        assert attrs["route"] == route
+        assert attrs["blocks"] >= 2
+
+
 class TestWorkerSpanStitching:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_task_spans_parent_under_the_map_span(self, backend):

@@ -189,22 +189,6 @@ class TestDefenseNamingWart:
         assert repro.graphs.defense_pattern is defense_module.defense
         assert get_generator("defense_pattern").func is defense_module.defense
 
-    def test_attribute_access_warns_and_both_idioms_work(self):
-        with pytest.warns(DeprecationWarning, match="defense_pattern"):
-            alias = repro.graphs.defense
-        # callable as the historical function re-export ...
-        assert alias(10) == repro.graphs.defense_pattern(10)
-        # ... and dotted access still reaches the submodule's contents
-        assert alias.security is repro.graphs.security
-        assert alias.defense is repro.graphs.defense_pattern
-
-    def test_dotted_import_idiom_keeps_working(self):
-        import repro.graphs.defense  # noqa: F401 - binds the alias via getattr
-
-        with pytest.warns(DeprecationWarning):
-            matrix = repro.graphs.defense.security(10)
-        assert matrix == repro.graphs.security(10)
-
     def test_submodule_import_does_not_warn(self):
         import importlib
 

@@ -1,6 +1,5 @@
 """Durable repros: run_corpus/save_repro into a store, replay, migration."""
 
-import hashlib
 import json
 
 import pytest
@@ -93,40 +92,30 @@ class TestReplayFromStore:
 
 
 class TestLegacyMigration:
-    def _write_legacy(self, repro_dir, spec, oracle="kernel_equality"):
-        """A repro file named with the retired sha1 scheme."""
+    """File-only repros move into a store on first ``load_repro``."""
+
+    def _write_file_repro(self, repro_dir, spec, oracle="kernel_equality"):
+        """A repro that so far lives only as a JSON file."""
         document = {
             "repro_version": 1,
             "oracle": oracle,
-            "detail": "legacy finding",
+            "detail": "file-only finding",
             "spec": spec.to_dict(),
             "original_spec": spec.to_dict(),
         }
-        digest = hashlib.sha1(
-            json.dumps(spec.to_dict(), sort_keys=True).encode()
-        ).hexdigest()[:10]
-        path = repro_dir / f"repro_{oracle}_{spec.base}_{digest}.json"
+        path = repro_dir / f"repro_{oracle}_{spec.base}_{spec.cache_key()[:10]}.json"
         path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
         return path
 
-    def test_legacy_file_warns_and_imports(self, store, tmp_path):
+    def test_second_load_is_idempotent(self, store, tmp_path):
         spec = ScenarioSpec(base="ring", params={}, n=8, seed=3)
-        path = self._write_legacy(tmp_path, spec)
-        with pytest.warns(DeprecationWarning, match="sha1 naming"):
-            loaded, document = load_repro(path, store=store)
-        assert loaded == spec
+        path = self._write_file_repro(tmp_path, spec)
+        load_repro(path, store=store)
         row = store.entry(spec)
         assert row is not None and row.kind == "repro"
         assert row.extra["oracle"] == "kernel_equality"
-
-    def test_second_load_is_idempotent(self, store, tmp_path):
-        spec = ScenarioSpec(base="ring", params={}, n=8, seed=3)
-        path = self._write_legacy(tmp_path, spec)
-        with pytest.warns(DeprecationWarning):
-            load_repro(path, store=store)
-        writes = store.entry(spec).writes
-        with pytest.warns(DeprecationWarning):
-            load_repro(path, store=store)  # already imported: untouched
+        writes = row.writes
+        load_repro(path, store=store)  # already imported: untouched
         assert store.entry(spec).writes == writes
 
     def test_modern_file_imports_without_warning(self, store, tmp_path):
