@@ -4,9 +4,10 @@ Two claims of the scenario service, timed and gated:
 
 * **Warm-cache speedup** — a batch served entirely from the content-addressed
   :class:`~repro.scenarios.ScenarioCache` must beat rebuilding it cold by at
-  least :data:`WARM_SPEEDUP_FLOOR` (a cache hit is a key lookup plus one grid
-  copy; a build runs generators, overlays, and noise).  Skippable on shared
-  runners via ``REPRO_SKIP_SPEEDUP_GATE=1`` — bit-identity always gates.
+  least :data:`WARM_SPEEDUP_FLOOR` (a cache hit is a key lookup returning the
+  stored immutable matrix; a build runs generators, overlays, and noise).
+  Skippable on shared runners via ``REPRO_SKIP_SPEEDUP_GATE=1`` — bit-identity
+  always gates.
 * **Delta vs full rebuild** — :func:`~repro.scenarios.apply_delta` with a
   cached base must reproduce the full from-scratch rebuild of the extended
   spec bit for bit, recomputing only the packet-touched row blocks.

@@ -11,6 +11,7 @@ warehouse floor whether or not it holds packets.  Large analytic matrices use
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from repro.core.colors import PalletColor, validate_color_grid
 from repro.core.labels import default_labels, validate_labels
 from repro.core.spaces import NetworkSpace, SpaceMap
-from repro.errors import ColorError, LabelError, ShapeError, TrafficMatrixError
+from repro.errors import LabelError, ShapeError, TrafficMatrixError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     import networkx as nx
@@ -49,6 +50,11 @@ class TrafficMatrix:
     colors:
         Optional ``n × n`` grid of colour codes (0 grey, 1 blue, 2 red).
         Defaults to all grey — the uncoloured state pallets start in.
+
+    A matrix is an immutable value, like the JSON fields it mirrors: grids are
+    copied in and handed out as read-only views, and every operation returns a
+    new matrix — so a cache, a store and concurrent requests can share one
+    instance without any of them corrupting what another sees.
     """
 
     __slots__ = ("_packets", "_labels", "_colors", "_space_map", "_extended", "_meta")
@@ -189,13 +195,14 @@ class TrafficMatrix:
         value: ``__eq__`` ignores it, and derived matrices (sums, transposes)
         do not inherit it.  The scenario API stores the originating
         :class:`~repro.scenarios.ScenarioSpec` document under ``"scenario"``.
+        Each access returns a deep copy: editing it never reaches a shared matrix.
         """
-        return dict(self._meta)
+        return copy.deepcopy(self._meta)
 
     def with_meta(self, **fields: object) -> "TrafficMatrix":
-        """Copy of this matrix with *fields* merged into its metadata."""
-        out = self.copy()
-        out._meta.update(fields)
+        """This matrix with *fields* merged into its metadata (grids shared, not copied)."""
+        out = copy.copy(self)
+        out._meta = {**self._meta, **fields}
         return out
 
     # ------------------------------------------------------------------ #
@@ -217,33 +224,9 @@ class TrafficMatrix:
         src, dst = key
         return int(self._packets[self._axis_index(src), self._axis_index(dst)])
 
-    def __setitem__(self, key: tuple[str | int, str | int], value: int) -> None:
-        if int(value) < 0:
-            raise TrafficMatrixError(f"packet count must be non-negative, got {value}")
-        src, dst = key
-        self._packets[self._axis_index(src), self._axis_index(dst)] = int(value)
-
-    def add_packets(self, src: str | int, dst: str | int, count: int = 1) -> None:
-        """Accumulate *count* packets on the ``src → dst`` cell."""
-        i, j = self._axis_index(src), self._axis_index(dst)
-        new = self._packets[i, j] + int(count)
-        if new < 0:
-            raise TrafficMatrixError(
-                f"removing {-int(count)} packets from cell ({i}, {j}) holding "
-                f"{int(self._packets[i, j])} would go negative"
-            )
-        self._packets[i, j] = new
-
     def color_of(self, src: str | int, dst: str | int) -> PalletColor:
         """Colour code of one cell (unknown codes already rejected at build)."""
         return PalletColor(int(self._colors[self._axis_index(src), self._axis_index(dst)]))
-
-    def set_color(self, src: str | int, dst: str | int, color: int | PalletColor) -> None:
-        code = int(color)
-        allowed = (0, 1, 2, 3, 4) if self._extended else (0, 1, 2)
-        if code not in allowed:
-            raise ColorError(f"invalid colour code {code}; allowed: {allowed}")
-        self._colors[self._axis_index(src), self._axis_index(dst)] = code
 
     # ------------------------------------------------------------------ #
     # derived views and statistics
@@ -361,7 +344,7 @@ class TrafficMatrix:
         k = int(scalar)
         if k < 0:
             raise TrafficMatrixError("packet scale factor must be non-negative")
-        return TrafficMatrix(self._packets * k, self._labels, self._colors.copy(), extended_colors=self._extended)
+        return TrafficMatrix(self._packets * k, self._labels, self._colors, extended_colors=self._extended)
 
     __rmul__ = __mul__
 
@@ -378,9 +361,9 @@ class TrafficMatrix:
         idx = np.asarray([self._axis_index(lb) for lb in labels], dtype=np.intp)
         sel = np.ix_(idx, idx)
         return TrafficMatrix(
-            self._packets[sel].copy(),
+            self._packets[sel],
             tuple(self._labels[i] for i in idx.tolist()),
-            self._colors[sel].copy(),
+            self._colors[sel],
             extended_colors=self._extended,
         )
 
@@ -422,20 +405,11 @@ class TrafficMatrix:
     ) -> "TrafficMatrix":
         """Copy of this matrix with a replacement colour grid."""
         extended = self._extended if extended_colors is None else extended_colors
-        return TrafficMatrix(self._packets.copy(), self._labels, colors, extended_colors=extended)
+        return TrafficMatrix(self._packets, self._labels, colors, extended_colors=extended)
 
     def with_space_colors(self) -> "TrafficMatrix":
         """Copy coloured by the default space convention (see ``SpaceMap.color_grid``)."""
         return self.with_colors(self.space_map.color_grid())
-
-    def copy(self) -> "TrafficMatrix":
-        return TrafficMatrix(
-            self._packets.copy(),
-            self._labels,
-            self._colors.copy(),
-            extended_colors=self._extended,
-            meta=self._meta,
-        )
 
     # ------------------------------------------------------------------ #
     # conversions
@@ -557,7 +531,7 @@ class TrafficMatrix:
             and np.array_equal(self._colors, other._colors)
         )
 
-    def __hash__(self) -> int:  # matrices are mutable; identity hash like ndarray
+    def __hash__(self) -> int:  # identity, like ndarray: equal matrices may hash apart
         return id(self)
 
     def __repr__(self) -> str:

@@ -61,7 +61,7 @@ def overlay(matrices: Iterable[TrafficMatrix]) -> TrafficMatrix:
             colors,
             extended_colors=extended,
         )
-    total = first.copy()
+    total = first
     for m in matrices[1:]:
         total = total + m
     return total

@@ -10,9 +10,10 @@ metadata all match.  That contract is what makes the cache safe to put in
 front of every build path, and it is enforced by the ``cache_delta`` oracle in
 :func:`repro.verify.default_oracles`, not assumed.
 
-Entries are stored and served as **copies** — :class:`TrafficMatrix` is
-mutable, and a caller scribbling on a result must never corrupt what the next
-hit receives.  Eviction is plain LRU, bounded by entry count and/or resident
+Entries are stored and served by reference: :class:`TrafficMatrix` is an
+immutable value (read-only grids, deep-copied metadata on read), so a hit is
+the very object ``put`` stored and no caller can corrupt what the next hit
+receives.  Eviction is plain LRU, bounded by entry count and/or resident
 bytes; both bounds are deterministic, so a replayed workload evicts the same
 keys in the same order on every backend.
 
@@ -236,7 +237,7 @@ class ScenarioCache:
         return self.store is not None and self.store.contains(self.key_of(spec))
 
     def get(self, spec: ScenarioSpec) -> "TrafficMatrix | None":
-        """The cached matrix for *spec* (a fresh copy), or ``None`` on a miss.
+        """The cached matrix for *spec* (the stored object), or ``None`` on a miss.
 
         Counts one hit or miss and refreshes the entry's LRU position.  With
         a store attached, an L1 miss falls through to L2; an L2 hit counts as
@@ -261,7 +262,7 @@ class ScenarioCache:
                 _obs.counter("scenario.cache.hits").inc()
                 _obs.counter("scenario.cache.hits.l1").inc()
                 _obs.counter(f"scenario.cache.hits.{family}").inc()
-                return entry[1].copy(), "l1"
+                return entry[1], "l1"
         # L1 miss — consult the durable tier outside the lock (disk latency
         # must not serialise concurrent L1 readers).
         if self.store is not None:
@@ -284,16 +285,15 @@ class ScenarioCache:
         return None, None
 
     def _promote(self, key: str, family: str, matrix: "TrafficMatrix") -> None:
-        """Copy an L2 hit into L1 (a promotion, not a put — counted apart)."""
+        """Keep an L2 hit in L1 (a promotion, not a put — counted apart)."""
         size = matrix_bytes(matrix)
         if self.max_bytes is not None and size > self.max_bytes:
             return  # oversized for memory; it stays served from L2
-        stored = matrix.copy()
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= old[2]
-            self._entries[key] = (family, stored, size)
+            self._entries[key] = (family, matrix, size)
             self._bytes += size
             self._promotions += 1
             _obs.counter("scenario.cache.promotions").inc()
@@ -303,8 +303,8 @@ class ScenarioCache:
     def put(self, spec: ScenarioSpec, matrix: "TrafficMatrix") -> str:
         """Store a built matrix under the spec's content address.
 
-        The cache keeps its own copy (callers may keep mutating theirs), then
-        evicts least-recently-used entries until both bounds hold.  With a
+        The cache keeps the caller's (immutable) matrix itself, then evicts
+        least-recently-used entries until both bounds hold.  With a
         store attached the write also goes through to L2 — including entries
         too large for the memory budget, which L1 refuses but the durable
         tier happily keeps.  Returns the cache key.
@@ -324,20 +324,18 @@ class ScenarioCache:
                     _obs.counter("scenario.cache.evictions").inc()
                 self._sync_gauges()
         else:
-            stored = matrix.copy()
             with self._lock:
                 old = self._entries.pop(key, None)
                 if old is not None:
                     self._bytes -= old[2]
-                self._entries[key] = (family, stored, size)
+                self._entries[key] = (family, matrix, size)
                 self._bytes += size
                 self._puts += 1
                 _obs.counter("scenario.cache.puts").inc()
                 self._evict_over_budget()
                 self._sync_gauges()
         if self.store is not None:
-            # Write-through, outside the lock: the store encodes its own
-            # immutable frame, so later caller mutations can't leak in.
+            # Write-through, outside the lock.
             self.store.put(spec, matrix)
         return key
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.anonymize import anonymize_matrix
 from repro.core.colors import EXTENDED_COLOR_CODES, validate_color_grid
 from repro.core.traffic_matrix import TrafficMatrix
 from repro.errors import ColorError, ModuleSchemaError
@@ -44,20 +45,21 @@ class TestTrafficMatrix:
         m = TrafficMatrix([[0, 0], [0, 0]], ["A", "B"], colors, extended_colors=True)
         assert m.extended_colors
 
-    def test_set_color_gate(self):
-        m = extended_matrix()
-        m.set_color("A", "B", 4)
+    def test_with_colors_gate(self):
+        m = extended_matrix().with_colors(np.full((4, 4), 4))
         assert int(m.colors[0, 1]) == 4
         standard = TrafficMatrix.zeros(2, labels=["A", "B"])
         with pytest.raises(ColorError):
-            standard.set_color("A", "B", 3)
+            standard.with_colors([[3, 0], [0, 0]])
 
     def test_flag_propagates_through_algebra(self):
         m = extended_matrix()
         assert (m + m).extended_colors
         assert (m * 2).extended_colors
         assert m.T.extended_colors
-        assert m.copy().extended_colors
+        assert anonymize_matrix(m).extended_colors
+        assert anonymize_matrix(m).colors.tolist() == m.colors.tolist()
+        assert m.with_meta(x=1).extended_colors
         assert m.submatrix(["A", "B"]).extended_colors
 
     def test_to_text_suffixes(self):

@@ -62,8 +62,9 @@ class TestSupernodes:
         assert supernodes(m, min_fan=2) == list(m.labels)
 
     def test_counts_peers_not_packets(self):
-        m = TrafficMatrix.zeros(6)
-        m[0, 1] = 14  # heavy single link is not a supernode
+        packets = [[0] * 6 for _ in range(6)]
+        packets[0][1] = 14  # heavy single link is not a supernode
+        m = TrafficMatrix(packets)
         assert supernodes(m) == []
 
 

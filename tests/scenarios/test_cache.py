@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.core.traffic_matrix import TrafficMatrix
 from repro.errors import ScenarioError
 from repro.scenarios import (
     CacheAnalytics,
@@ -73,19 +74,30 @@ class TestHitMiss:
         assert hit == built
         assert hit.meta == built.meta
 
-    def test_served_copies_are_isolated(self):
-        """A caller scribbling on a hit must not corrupt the next hit."""
+    def test_hits_share_the_immutable_stored_object(self):
+        """Hits serve the stored matrix itself; nothing can write through it."""
         cache = ScenarioCache()
         spec = spec_of(4)
         built = spec.build()
         cache.put(spec, built)
-        built.add_packets(0, 1, 999_999)  # the caller's own copy, post-put
-        first = cache.get(spec)
-        first.add_packets(1, 2, 999_999)
-        first.set_color(1, 2, 2)
-        second = cache.get(spec)
-        assert second == spec.build()
-        assert second.meta == spec.build().meta
+        hit = cache.get(spec)
+        assert hit is built
+        with pytest.raises(ValueError):
+            hit.packets[0, 1] = 999_999
+        with pytest.raises(ValueError):
+            hit.colors[1, 2] = 2
+        for name in ("__setitem__", "add_packets", "set_color", "copy"):
+            assert not hasattr(TrafficMatrix, name), name
+        assert cache.get(spec) == spec.build()
+
+    def test_editing_served_provenance_leaves_later_hits_intact(self):
+        cache = ScenarioCache()
+        spec = spec_of(6)
+        cache.put(spec, spec.build())
+        cache.get(spec).meta["scenario"]["seed"] = 999
+        again = cache.get(spec)
+        assert again.meta["scenario"]["seed"] == spec.seed
+        assert again.meta == spec.build().meta
 
     def test_contains_is_counter_neutral(self):
         cache = ScenarioCache()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.traffic_matrix import TrafficMatrix
 from repro.errors import ScenarioError, ScenarioSpecError, ShapeError
 from repro.graphs.classify import classify_spec
 from repro.scenarios import (
@@ -74,11 +75,13 @@ class TestProvenance:
         assert rebuilt == matrix
         assert rebuilt.meta == matrix.meta
 
-    def test_meta_survives_copy_but_not_algebra(self):
+    def test_meta_survives_with_meta_but_not_algebra(self):
         matrix = ScenarioSpec(base="ring").build()
-        assert matrix.copy().meta == matrix.meta
+        assert matrix.with_meta().meta == matrix.meta
         assert (matrix + matrix).meta == {}
-        assert matrix.copy() == matrix  # meta is not part of matrix value
+        same = TrafficMatrix(matrix.packets, matrix.labels, matrix.colors)
+        assert same.meta == {}
+        assert same == matrix  # meta is not part of matrix value
 
 
 class TestJsonRoundTrip:

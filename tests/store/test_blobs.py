@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.traffic_matrix import TrafficMatrix
 from repro.errors import StoreError, StoreIntegrityError
 from repro.scenarios import NoiseSpec, ScenarioSpec
 from repro.store import (
@@ -30,7 +31,14 @@ class TestFraming:
         assert loaded.colors.dtype == matrix.colors.dtype
 
     def test_encoding_is_deterministic(self, matrix):
-        assert encode_matrix(matrix) == encode_matrix(matrix.copy())
+        same = TrafficMatrix(
+            matrix.packets,
+            matrix.labels,
+            matrix.colors,
+            extended_colors=matrix.extended_colors,
+            meta=matrix.meta,
+        )
+        assert encode_matrix(matrix) == encode_matrix(same)
 
     def test_equal_specs_encode_equal_bytes(self):
         a = ScenarioSpec(base="star", params={}, n=7, seed=5).build()

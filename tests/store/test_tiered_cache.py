@@ -57,6 +57,17 @@ class TestReadThrough:
         _, second = cache.fetch_tiered(spec)
         assert (first, second) == ("l2", "l1")
 
+    def test_editing_promoted_provenance_leaves_later_hits_intact(self, store):
+        cache = ScenarioCache(max_entries=4, store=store)
+        spec = spec_of(4)
+        store.put(spec, spec.build())  # seeded out-of-band, cold L1
+        promoted, tier = cache.fetch_tiered(spec)
+        assert tier == "l2"
+        promoted.meta["scenario"]["seed"] = 999
+        again, tier = cache.fetch_tiered(spec)
+        assert tier == "l1"
+        assert again.meta == spec.build().meta
+
     def test_contains_sees_both_tiers(self, store):
         cache = ScenarioCache(max_entries=1, store=store)
         a, b = spec_of(1), spec_of(2)

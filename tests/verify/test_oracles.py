@@ -8,9 +8,11 @@ perturbation makes blocked results drift from serial ones — exactly the
 class of tile-dependent kernel bug differential testing exists to catch.
 """
 
+import numpy as np
 from fault_fixtures import PERTURBED_SEMIRING, WRONG_SHAPE_INFER
 
 from repro.assoc.semiring import PLUS_TIMES
+from repro.core.traffic_matrix import TrafficMatrix
 from repro.scenarios import NoiseSpec, OverlaySpec, ScenarioSpec
 from repro.verify import (
     CacheDeltaOracle,
@@ -23,6 +25,19 @@ from repro.verify import (
     make_corpus,
     run_corpus,
 )
+
+
+def perturbed(matrix: TrafficMatrix) -> TrafficMatrix:
+    """*matrix* with one stray packet on cell (0, 1), provenance kept."""
+    packets = np.array(matrix.packets)
+    packets[0, 1] += 1
+    return TrafficMatrix(
+        packets,
+        matrix.labels,
+        matrix.colors,
+        extended_colors=matrix.extended_colors,
+        meta=matrix.meta,
+    )
 
 
 class TestKernelEqualityOracle:
@@ -179,8 +194,7 @@ class TestCacheDeltaOracle:
 
         def corrupted(base_spec, delta, **kwargs):
             result = true_apply(base_spec, delta, **kwargs)
-            broken = result.matrix.copy()
-            broken.add_packets(0, 1, 1)  # one stray packet
+            broken = perturbed(result.matrix)  # one stray packet
             return type(result)(spec=result.spec, matrix=broken, stats=result.stats)
 
         monkeypatch.setattr(delta_mod, "apply_delta", corrupted)
@@ -196,9 +210,7 @@ class TestCacheDeltaOracle:
 
         def corrupted(self, spec):
             matrix = true_get(self, spec)
-            if matrix is not None:
-                matrix.add_packets(0, 1, 1)
-            return matrix
+            return None if matrix is None else perturbed(matrix)
 
         monkeypatch.setattr(ScenarioCache, "get", corrupted)
         verdict = CacheDeltaOracle().check(ScenarioSpec(base="ring", n=10, seed=1))
