@@ -16,8 +16,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from repro.assoc.array import AssociativeArray
-from repro.runtime.executor import parallel_map
+from repro.assoc.array import AssociativeArray, _align
+from repro.assoc.expr import Mat, union_all
+from repro.assoc.semiring import PLUS
+from repro.obs import metrics as _obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenarios import ScenarioSpec
@@ -179,39 +181,28 @@ def scenario_stream(
     yield from window_stream(events, window_size=window_size)
 
 
-def _reindex_task(args: tuple[AssociativeArray, tuple[str, ...], tuple[str, ...]]):
-    array, r_axis, c_axis = args
-    return array.reindex(r_axis, c_axis).csr
-
-
 def merge_windows(arrays: Iterable[AssociativeArray]) -> AssociativeArray:
     """Combine per-window matrices into one aggregate by key-aligned addition.
 
     This is the long-horizon view of the streaming lineage: many 2^k-event
     window matrices collapse into a whole-capture traffic matrix.  Every
-    window is reindexed once onto the union label axes (in parallel on the
-    runtime's configured executor), then a single accumulator assignment —
-    ``total(accum=PLUS) << union_all(windows)`` on the expression layer —
-    collapses them with one fused concatenate + coalesce, itself row-blocked
-    under :func:`repro.runtime.configure`.  One sort over all windows
-    replaces the old ``log₂(windows)`` rounds of pairwise tree merges.
+    window is embedded onto the union label axes (computed, with their
+    position lookups, once), then one accumulator assignment —
+    ``total(accum=PLUS) << union_all(windows)`` — collapses them with one
+    fused concatenate + coalesce, row-blocked under
+    :func:`repro.runtime.configure`.  Wall time goes to ``analysis.merge_ms``.
     """
+    t0 = _obs.monotonic_ns()
     pending = list(arrays)
-    if not pending:
-        return AssociativeArray.empty()
-    if len(pending) == 1:
-        return pending[0]
-    from repro.assoc.expr import Mat, union_all
-    from repro.assoc.semiring import PLUS
-
-    r_axis = tuple(sorted(set().union(*(a.row_labels for a in pending))))
-    c_axis = tuple(sorted(set().union(*(a.col_labels for a in pending))))
-    reindexed = parallel_map(
-        _reindex_task, [(a, r_axis, c_axis) for a in pending]
-    )
-    total = Mat.from_csr(reindexed[0])
-    total(accum=PLUS) << union_all(reindexed[1:])
-    return AssociativeArray(r_axis, c_axis, total.csr)
+    if len(pending) <= 1:
+        merged = pending[0] if pending else AssociativeArray.empty()
+    else:
+        r_axis, c_axis, aligned = _align(pending)
+        total = Mat.from_csr(aligned[0])
+        total(accum=PLUS) << union_all(aligned[1:])
+        merged = AssociativeArray(r_axis, c_axis, total.csr)
+    _obs.histogram("analysis.merge_ms").observe((_obs.monotonic_ns() - t0) / 1e6)
+    return merged
 
 
 def window_digest(array: AssociativeArray) -> str:

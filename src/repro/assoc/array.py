@@ -12,6 +12,7 @@ bookkeeping — the property that makes streaming traffic-matrix accumulation
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,27 +24,74 @@ from repro.errors import AssocArrayError
 __all__ = ["AssociativeArray"]
 
 
-def _as_labels(keys: Iterable[str]) -> tuple[str, ...]:
+class _Axis(tuple):
+    """A label axis proven sorted, duplicate-free and free of empty keys."""
+
+    __slots__ = ()
+
+
+def _as_labels(keys: Iterable[str]) -> _Axis:
+    if isinstance(keys, _Axis):
+        return keys
     labels = tuple(str(k) for k in keys)
     if any(not k for k in labels):
         raise AssocArrayError("associative-array keys may not be empty strings")
     if list(labels) != sorted(set(labels)):
         raise AssocArrayError("label axes must be sorted and duplicate-free")
-    return labels
+    return _Axis(labels)
 
 
-def _union_labels(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    if a == b:
-        return a
-    return tuple(sorted(set(a) | set(b)))
+def _union_labels(*axes: _Axis) -> _Axis:
+    first = axes[0]
+    if all(axis == first for axis in axes[1:]):
+        return first
+    return _Axis(sorted(set().union(*axes)))
 
 
-def _remap(labels: tuple[str, ...], target: tuple[str, ...]) -> np.ndarray:
-    """Index of each of *labels* inside the (sorted) *target* axis."""
-    if labels == target:
-        return np.arange(len(labels), dtype=np.int64)
-    tgt = np.asarray(target)
-    return np.searchsorted(tgt, np.asarray(labels)).astype(np.int64)
+def _position(axis: _Axis, key: str, what: str) -> int:
+    i = bisect_left(axis, key)
+    if i == len(axis) or axis[i] != key:
+        raise AssocArrayError(f"unknown {what} key {key!r}")
+    return i
+
+
+def _index_map(labels: _Axis, axis: _Axis, lookup: dict[str, int]) -> np.ndarray:
+    """Position of each of *labels* on the superset *axis*, by exact string
+    lookup (numpy ``<U`` arrays drop trailing NULs).  *lookup* caches the
+    axis' positions, filled on first use."""
+    if labels == axis:
+        return np.arange(len(axis), dtype=np.int64)
+    if not lookup:
+        lookup.update(zip(axis, range(len(axis))))
+    try:
+        return np.fromiter(map(lookup.__getitem__, labels), dtype=np.int64, count=len(labels))
+    except KeyError:
+        raise AssocArrayError("reindex axes must be supersets of the current axes") from None
+
+
+def _embed(
+    array: AssociativeArray, r_axis: _Axis, c_axis: _Axis, r_lookup: dict, c_lookup: dict
+) -> CSRMatrix:
+    """*array*'s storage on the superset axes ``r_axis × c_axis``.  Both index
+    maps are strictly increasing, so entries stay in canonical order: no sort."""
+    r_map = _index_map(array.row_labels, r_axis, r_lookup)
+    c_map = _index_map(array.col_labels, c_axis, c_lookup)
+    csr = array.csr
+    indptr = np.zeros(len(r_axis) + 1, dtype=np.int64)
+    indptr[r_map + 1] = csr.row_nnz()
+    np.cumsum(indptr, out=indptr)
+    return CSRMatrix(
+        (len(r_axis), len(c_axis)), indptr, c_map[csr.indices], csr.data.copy(), _trusted=True
+    )
+
+
+def _align(arrays: Sequence[AssociativeArray]) -> tuple[_Axis, _Axis, list[CSRMatrix]]:
+    """Every array embedded onto the union axes, whose lookups are built once."""
+    r_axis = _union_labels(*(a.row_labels for a in arrays))
+    c_axis = _union_labels(*(a.col_labels for a in arrays))
+    r_lookup: dict[str, int] = {}
+    c_lookup: dict[str, int] = {}
+    return r_axis, c_axis, [_embed(a, r_axis, c_axis, r_lookup, c_lookup) for a in arrays]
 
 
 class AssociativeArray:
@@ -51,7 +99,9 @@ class AssociativeArray:
 
     Construction normalises keys to sorted order; all arithmetic aligns
     operands by key union, mirroring D4M semantics.  The underlying storage is
-    a canonical :class:`~repro.assoc.sparse.CSRMatrix`.
+    a canonical :class:`~repro.assoc.sparse.CSRMatrix`.  Axes are validated
+    once: a caller's on construction; those the algebra derives (unions,
+    sub-axes, reused operand axes) never again.
     """
 
     __slots__ = ("row_labels", "col_labels", "csr")
@@ -97,8 +147,10 @@ class AssociativeArray:
         vals = np.asarray(vals)
         if not (len(rows) == len(cols) == vals.shape[0] if vals.ndim else len(rows) == len(cols) == 0):
             raise AssocArrayError("rows, cols, vals must be equal length")
-        r_axis = tuple(sorted(set(rows))) if row_labels is None else tuple(sorted(set(row_labels)))
-        c_axis = tuple(sorted(set(cols))) if col_labels is None else tuple(sorted(set(col_labels)))
+        r_axis = _Axis(sorted(set(rows if row_labels is None else map(str, row_labels))))
+        c_axis = _Axis(sorted(set(cols if col_labels is None else map(str, col_labels))))
+        if (r_axis and not r_axis[0]) or (c_axis and not c_axis[0]):  # "" sorts first
+            raise AssocArrayError("associative-array keys may not be empty strings")
         r_lookup = {k: i for i, k in enumerate(r_axis)}
         c_lookup = {k: i for i, k in enumerate(c_axis)}
         try:
@@ -168,26 +220,14 @@ class AssociativeArray:
         """
         rk, ck = key
         if isinstance(rk, str) and isinstance(ck, str):
-            i = self._row_index(rk)
-            j = self._col_index(ck)
+            i = _position(self.row_labels, rk, "row")
+            j = _position(self.col_labels, ck, "column")
             start, end = self.csr.indptr[i], self.csr.indptr[i + 1]
             pos = np.searchsorted(self.csr.indices[start:end], j)
             if pos < end - start and self.csr.indices[start + pos] == j:
                 return self.csr.data[start + pos].item()
             return 0
         return self.extract(rk, ck)
-
-    def _row_index(self, key: str) -> int:
-        i = int(np.searchsorted(np.asarray(self.row_labels), key))
-        if i >= len(self.row_labels) or self.row_labels[i] != key:
-            raise AssocArrayError(f"unknown row key {key!r}")
-        return i
-
-    def _col_index(self, key: str) -> int:
-        j = int(np.searchsorted(np.asarray(self.col_labels), key))
-        if j >= len(self.col_labels) or self.col_labels[j] != key:
-            raise AssocArrayError(f"unknown column key {key!r}")
-        return j
 
     def _resolve_axis(
         self, sel: str | Sequence[str] | slice, labels: tuple[str, ...]
@@ -213,9 +253,9 @@ class AssociativeArray:
         """Sub-array on the selected keys.  ``"WS*"`` selects by prefix."""
         r_keys = sorted(set(self._resolve_axis(rows, self.row_labels)))
         c_keys = sorted(set(self._resolve_axis(cols, self.col_labels)))
-        r_idx = np.asarray([self._row_index(k) for k in r_keys], dtype=np.int64)
-        c_idx = np.asarray([self._col_index(k) for k in c_keys], dtype=np.int64)
-        return AssociativeArray(tuple(r_keys), tuple(c_keys), self.csr.extract(r_idx, c_idx))
+        r_idx = np.asarray([_position(self.row_labels, k, "row") for k in r_keys], np.int64)
+        c_idx = np.asarray([_position(self.col_labels, k, "column") for k in c_keys], np.int64)
+        return AssociativeArray(_Axis(r_keys), _Axis(c_keys), self.csr.extract(r_idx, c_idx))
 
     # ------------------------------------------------------------------ #
     # alignment and algebra
@@ -227,26 +267,13 @@ class AssociativeArray:
         """Embed this array into larger (sorted) label axes."""
         r_axis = _as_labels(row_labels)
         c_axis = _as_labels(col_labels)
-        if not (set(self.row_labels) <= set(r_axis) and set(self.col_labels) <= set(c_axis)):
-            raise AssocArrayError("reindex axes must be supersets of the current axes")
-        r, c, v = self.csr.triples()
-        r_map = _remap(self.row_labels, r_axis)
-        c_map = _remap(self.col_labels, c_axis)
-        csr = CSRMatrix.from_triples(
-            r_map[r], c_map[c], v, (len(r_axis), len(c_axis))
-        )
-        return AssociativeArray(r_axis, c_axis, csr)
-
-    def _aligned(self, other: "AssociativeArray") -> tuple["AssociativeArray", "AssociativeArray"]:
-        r_axis = _union_labels(self.row_labels, other.row_labels)
-        c_axis = _union_labels(self.col_labels, other.col_labels)
-        return self.reindex(r_axis, c_axis), other.reindex(r_axis, c_axis)
+        return AssociativeArray(r_axis, c_axis, _embed(self, r_axis, c_axis, {}, {}))
 
     def _mask_csr(
         self,
         mask: object,
-        row_labels: tuple[str, ...],
-        col_labels: tuple[str, ...],
+        row_labels: _Axis,
+        col_labels: _Axis,
     ) -> "CSRMatrix":
         """Resolve *mask* to a CSR pattern over the given label axes.
 
@@ -258,7 +285,7 @@ class AssociativeArray:
         from repro.assoc import expr
 
         if isinstance(mask, AssociativeArray):
-            return mask.reindex(row_labels, col_labels).csr
+            return _embed(mask, row_labels, col_labels, {}, {})
         pattern = expr.as_mask(mask).pattern
         if pattern.shape != (len(row_labels), len(col_labels)):
             raise AssocArrayError(
@@ -281,17 +308,7 @@ class AssociativeArray:
         the union is masked on the expression layer: triples outside the
         allowed coordinates are dropped before the combining sort.
         """
-        a, b = self._aligned(other)
-        if mask is None:
-            csr = a.csr.ewise_union(b.csr, add)
-        else:
-            from repro.assoc import expr
-
-            m = self._mask_csr(mask, a.row_labels, a.col_labels)
-            csr = expr.lazy(a.csr).ewise(b.csr, add, how="union").new(
-                mask=m, complement=complement
-            )
-        return AssociativeArray(a.row_labels, a.col_labels, csr)
+        return self._ewise(other, add, "union", mask, complement)
 
     def ewise_mult(
         self,
@@ -304,17 +321,17 @@ class AssociativeArray:
         """Key-aligned element-wise multiply over the pattern intersection
         (optionally masked — the planner pushes the mask into the left
         operand, so the unmasked intersection is never built)."""
-        a, b = self._aligned(other)
-        if mask is None:
-            csr = a.csr.ewise_intersect(b.csr, mult)
-        else:
-            from repro.assoc import expr
+        return self._ewise(other, mult, "intersect", mask, complement)
 
-            m = self._mask_csr(mask, a.row_labels, a.col_labels)
-            csr = expr.lazy(a.csr).ewise(b.csr, mult, how="intersect").new(
-                mask=m, complement=complement
-            )
-        return AssociativeArray(a.row_labels, a.col_labels, csr)
+    def _ewise(self, other, op, how: str, mask: object, complement: bool) -> "AssociativeArray":
+        from repro.assoc import expr
+
+        r_axis, c_axis, (a, b) = _align((self, other))
+        node = expr.as_expr(a).ewise(b, op, how=how)
+        if mask is None:
+            return AssociativeArray(r_axis, c_axis, node.new())
+        m = self._mask_csr(mask, r_axis, c_axis)
+        return AssociativeArray(r_axis, c_axis, node.new(mask=m, complement=complement))
 
     def select(self, mask: object, *, complement: bool = False) -> "AssociativeArray":
         """Entries at coordinates the structural *mask* allows (``A⟨M⟩``)."""
@@ -334,17 +351,7 @@ class AssociativeArray:
         if isinstance(other, AssociativeArray):
             return self.ewise_mult(other)
         if isinstance(other, (int, float, np.number)):
-            return AssociativeArray(
-                self.row_labels,
-                self.col_labels,
-                CSRMatrix(
-                    self.shape,
-                    self.csr.indptr.copy(),
-                    self.csr.indices.copy(),
-                    self.csr.data * other,
-                    _trusted=True,
-                ),
-            )
+            return self._with_data(self.csr.data * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -363,15 +370,16 @@ class AssociativeArray:
         kernel — rows of the output the mask excludes are never expanded.
         """
         inner = _union_labels(self.col_labels, other.row_labels)
-        a = self.reindex(self.row_labels, inner)
-        b = other.reindex(inner, other.col_labels)
+        lookup: dict[str, int] = {}
+        a = _embed(self, self.row_labels, inner, {}, lookup)
+        b = _embed(other, inner, other.col_labels, lookup, {})
         if mask is None:
-            csr = a.csr.mxm(b.csr, semiring)
+            csr = a.mxm(b, semiring)
         else:
             from repro.assoc import expr
 
             m = self._mask_csr(mask, self.row_labels, other.col_labels)
-            csr = expr.lazy(a.csr).mxm(b.csr, semiring).new(mask=m, complement=complement)
+            csr = expr.lazy(a).mxm(b, semiring).new(mask=m, complement=complement)
         return AssociativeArray(self.row_labels, other.col_labels, csr)
 
     def __matmul__(self, other: "AssociativeArray") -> "AssociativeArray":
@@ -414,11 +422,12 @@ class AssociativeArray:
         data = np.asarray(func(self.csr.data.copy()))
         if data.shape != self.csr.data.shape:
             raise AssocArrayError("apply() function must preserve the value-array shape")
-        return AssociativeArray(
-            self.row_labels,
-            self.col_labels,
-            CSRMatrix(self.shape, self.csr.indptr.copy(), self.csr.indices.copy(), data, _trusted=True),
-        )
+        return self._with_data(data)
+
+    def _with_data(self, data: np.ndarray) -> "AssociativeArray":
+        """Same axes and pattern (copied), new stored values."""
+        csr = CSRMatrix(self.shape, self.csr.indptr.copy(), self.csr.indices.copy(), data, _trusted=True)
+        return AssociativeArray(self.row_labels, self.col_labels, csr)
 
     def relabel(
         self,
