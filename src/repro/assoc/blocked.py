@@ -16,15 +16,22 @@ into exactly the serial output — including float rounding, because every
 duplicate group is reduced in the same order.  The benchmark and property
 tests assert this equality rather than assuming it.
 
-**One protocol.**  Each ``parallel_*`` kernel (dispatched from
-:mod:`repro.assoc.sparse` and :mod:`repro.assoc.planner` once workers are
-enabled) declares a serial kernel and its operands, tagged by how a block
-task sees them: :class:`_Rows` (cut to the task's ``[lo, hi)`` span),
-:class:`_Whole` (intact), or a plain constant.  One driver,
-:func:`_run_blocked`, owns obs, the executor map, the dtype cast and
-assembly; one task, :func:`_block_task`, resolves operands and runs the
-kernel.  Shared memory is only a *transport*, deciding where rows are cut:
-``inline``, the parent cuts each block into its task; ``shm``
+**One gate.**  Every assoc kernel with a row-blocked form (the planner's
+steps and ``coalesce``) enters through a ``parallel_*`` function here, which
+checks its operands' shapes; then :func:`_route` alone picks the route.  An
+explicit ``config`` always runs blocked; ``config=None`` asks the active
+config's :func:`~repro.runtime.config.parallel_config` about the kernel's
+work measure (operands of one row never block), and on ``None`` the serial
+kernel runs directly, with no ``kernels.*`` counter or span.
+
+**One protocol.**  Each ``parallel_*`` kernel declares a serial kernel and
+its operands, tagged by how a block task sees them: :class:`_Rows` (cut to
+the task's ``[lo, hi)`` span), :class:`_Whole` (intact), or a plain
+constant.  One driver, :func:`_run_blocked`, owns the gate, obs, the
+executor map, the dtype cast and assembly; one task, :func:`_block_task`,
+resolves operands and runs the kernel.  Shared memory is only a
+*transport*, deciding where rows are cut: ``inline``, the parent cuts each
+block into its task; ``shm``
 (:meth:`~repro.runtime.config.RuntimeConfig.use_shm`), operands are exported
 **once** into :mod:`repro.runtime.shm` segments under an ``OperandLease`` and
 each worker attaches and cuts its own block.  Same cut, same spans: the
@@ -45,7 +52,7 @@ from repro.errors import SparseFormatError
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.runtime import shm as _shm
-from repro.runtime.config import RuntimeConfig, get_config
+from repro.runtime.config import RuntimeConfig, get_config, parallel_config
 from repro.runtime.executor import choose_block_rows, get_executor
 
 __all__ = [
@@ -259,6 +266,20 @@ def _export(op: Any, lease: _shm.OperandLease) -> Any:
     return type(op)((lease.export_csr if csr else lease.export_array)(op.value))
 
 
+def _route(config: RuntimeConfig | None, n_rows: int, work: int) -> RuntimeConfig | None:
+    """The serial-or-blocked decision for every kernel: the config to run
+    blocked under, or ``None`` for the serial kernel.
+
+    An explicit *config* always runs blocked (the equality tests and oracles
+    pin routes this way); otherwise the active config's
+    :func:`~repro.runtime.config.parallel_config` judges *work*, the
+    kernel's own measure, and an operand of one row never blocks.
+    """
+    if config is not None:
+        return config
+    return parallel_config(work) if n_rows > 1 else None
+
+
 def _run_blocked(
     name: str,
     config: RuntimeConfig | None,
@@ -267,6 +288,7 @@ def _run_blocked(
     *,
     n_rows: int = 0,
     work: int,
+    gate: int | None = None,
     spans: list[tuple[int, int]] | None = None,
     nnz_in: int | None = None,
     out_dtype: Callable[[], np.dtype] | None = None,
@@ -274,11 +296,15 @@ def _run_blocked(
 ) -> Any:
     """Run *kernel* over *ops* once per span; assemble a CSR, vector or triples.
 
+    :func:`_route` first decides on *gate* (default *work*); on the serial
+    route *kernel* runs once over the whole operands, uninstrumented.
     *spans* default to the row tiling of an *n_rows* operand carrying *work*
     entries.  *out_dtype* is a thunk, so user-operator dtype probes run only
     after the dispatch; CSR blocks are cast to it.
     """
-    cfg = get_config() if config is None else config
+    cfg = _route(config, n_rows, work if gate is None else gate)
+    if cfg is None:
+        return kernel(*[op.value if isinstance(op, (_Rows, _Whole)) else op for op in ops])
     if spans is None:
         starts = _row_starts(n_rows, choose_block_rows(n_rows, work, cfg.workers, cfg.block_rows))
         spans = [(int(r0), int(r1)) for r0, r1 in zip(starts[:-1], starts[1:])]
@@ -318,9 +344,11 @@ def _run_blocked(
         return out
 
 
-def _check(ok: bool, message: str) -> None:
+def _check(ok: bool, message: str, *args: object) -> None:
+    """Raise ``SparseFormatError(message.format(*args))`` unless *ok*; the
+    message is built only on failure, since checks run on every call."""
     if not ok:
-        raise SparseFormatError(message)
+        raise SparseFormatError(message.format(*args))
 
 
 def _mult_probe(mult: Callable[..., Any], a: CSRMatrix, b: CSRMatrix) -> np.dtype:
@@ -332,8 +360,16 @@ def _union_all_block(add: Monoid, mask: Any, complement: bool, *parts: CSRMatrix
     return _sparse._union_all_serial(parts, add, mask, complement)
 
 
+def _terms(a: CSRMatrix, b: CSRMatrix) -> int:
+    """The expanded ESC term count of ``a ⊕.⊗ b``: the product kernels' gate work."""
+    return int(b.row_nnz()[a.indices].sum())
+
+
 # ---------------------------------------------------------------------- #
-# the kernels (dispatch targets of repro.assoc.sparse / repro.assoc.planner)
+# the kernels (entered by repro.assoc.sparse and repro.assoc.planner)
+#
+# Shape checks come before the driver's gate, so the serial and blocked
+# routes reject the same malformed operands.
 #
 # Masks share the operand's row tiling, so each block task sees exactly the
 # mask rows it owns; masked filtering is per-row, so a row partition of the
@@ -344,11 +380,14 @@ def _union_all_block(add: Monoid, mask: Any, complement: bool, *parts: CSRMatrix
 def parallel_mxm(
     a: CSRMatrix, b: CSRMatrix, semiring: Semiring, config: RuntimeConfig | None = None
 ) -> CSRMatrix:
-    """Row-blocked parallel ESC product, bit-identical to ``a.mxm(b)`` serial."""
-    _check(a.shape[1] == b.shape[0], f"inner dimension mismatch: {a.shape} @ {b.shape}")
+    """Row-blocked parallel ESC product, bit-identical to ``a.mxm(b)`` serial.
+
+    ``config=None``: serial unless the expanded term count clears the gate.
+    """
+    _check(a.shape[1] == b.shape[0], "inner dimension mismatch: {} @ {}", a.shape, b.shape)
     return _run_blocked(
         "parallel_mxm", config, CSRMatrix._mxm_serial, (_Rows(a), _Whole(b), semiring),
-        n_rows=a.shape[0], work=a.nnz, nnz_in=a.nnz + b.nnz,
+        n_rows=a.shape[0], work=a.nnz, gate=_terms(a, b), nnz_in=a.nnz + b.nnz,
         out_dtype=lambda: _sparse._mxm_out_dtype(a, b, semiring.mult),
     )
 
@@ -356,9 +395,12 @@ def parallel_mxm(
 def parallel_mxv(
     a: CSRMatrix, x: np.ndarray, semiring: Semiring, config: RuntimeConfig | None = None
 ) -> np.ndarray:
-    """Row-blocked parallel matrix-vector product."""
+    """Row-blocked parallel matrix-vector product.
+
+    ``config=None``: serial unless ``a.nnz`` clears the gate.
+    """
     x = np.asarray(x)
-    _check(x.shape == (a.shape[1],), f"vector length {x.shape} != {(a.shape[1],)}")
+    _check(x.shape == (a.shape[1],), "vector length {} != {}", x.shape, (a.shape[1],))
     return _run_blocked(
         "parallel_mxv", config, CSRMatrix._mxv_serial, (_Rows(a), _Whole(x), semiring),
         n_rows=a.shape[0], work=a.nnz,
@@ -368,7 +410,10 @@ def parallel_mxv(
 def parallel_ewise_union(
     a: CSRMatrix, b: CSRMatrix, add: Monoid, config: RuntimeConfig | None = None
 ) -> CSRMatrix:
-    """Row-blocked element-wise union: both operands share one tiling."""
+    """Row-blocked element-wise union: both operands share one tiling.
+
+    ``config=None``: serial unless ``a.nnz + b.nnz`` clears the gate.
+    """
     a._check_shape(b)
     return _run_blocked(
         "parallel_ewise_union", config, CSRMatrix._ewise_union_serial, (_Rows(a), _Rows(b), add),
@@ -379,7 +424,10 @@ def parallel_ewise_union(
 def parallel_ewise_intersect(
     a: CSRMatrix, b: CSRMatrix, mult, config: RuntimeConfig | None = None  # noqa: ANN001
 ) -> CSRMatrix:
-    """Row-blocked element-wise intersection."""
+    """Row-blocked element-wise intersection.
+
+    ``config=None``: serial unless ``a.nnz + b.nnz`` clears the gate.
+    """
     a._check_shape(b)
     return _run_blocked(
         "parallel_ewise_intersect", config, CSRMatrix._ewise_intersect_serial,
@@ -401,11 +449,14 @@ def parallel_coalesce(
     The stable block partition keeps each coordinate's duplicates in their
     original relative order inside exactly one block, so per-block stable
     sorts and ``reduceat`` reproduce the serial output bit-for-bit.
+    ``config=None``: serial unless the triple count clears the gate.
     """
     same = rows.ndim == 1 and rows.shape == cols.shape == vals.shape
-    _check(same, f"triple arrays must be equal-length 1-D, got {rows.shape}, {cols.shape}")
-    cfg = get_config() if config is None else config
+    _check(same, "triple arrays must be equal-length 1-D, got {}, {}", rows.shape, cols.shape)
     n_rows = shape[0]
+    cfg = _route(config, n_rows, int(rows.size))
+    if cfg is None:
+        return _sparse._coalesce_core(rows, cols, vals, shape, add)
     block_rows = choose_block_rows(n_rows, rows.size, cfg.workers, cfg.block_rows)
     n_blocks = -(-n_rows // block_rows) if n_rows else 1
     if n_blocks <= 1 or rows.size == 0:
@@ -431,15 +482,19 @@ def parallel_masked_mxm(
     config: RuntimeConfig | None = None,
 ) -> CSRMatrix:
     """Row-blocked fused masked product, bit-identical to the serial masked
-    kernel (and therefore to eager-then-filter)."""
-    _check(a.shape[1] == b.shape[0], f"inner dimension mismatch: {a.shape} @ {b.shape}")
+    kernel (and therefore to eager-then-filter).
+
+    ``config=None``: serial unless the unmasked expanded term count clears
+    the gate.
+    """
+    _check(a.shape[1] == b.shape[0], "inner dimension mismatch: {} @ {}", a.shape, b.shape)
     out_shape = (a.shape[0], b.shape[1])
-    _check(mask.shape == out_shape, f"mask shape {mask.shape} != product shape {out_shape}")
+    _check(mask.shape == out_shape, "mask shape {} != product shape {}", mask.shape, out_shape)
     out_dtype = _sparse._mxm_out_dtype(a, b, semiring.mult)
     return _run_blocked(
         "parallel_masked_mxm", config, _sparse._masked_mxm_serial,
         (_Rows(a), _Whole(b), semiring, _Rows(mask), out_dtype),
-        n_rows=a.shape[0], work=a.nnz, nnz_in=a.nnz + b.nnz,
+        n_rows=a.shape[0], work=a.nnz, gate=_terms(a, b), nnz_in=a.nnz + b.nnz,
         out_dtype=lambda: out_dtype, mask_nnz=mask.nnz,
     )
 
@@ -451,11 +506,14 @@ def parallel_masked_mxv(
     allow: np.ndarray,
     config: RuntimeConfig | None = None,
 ) -> np.ndarray:
-    """Row-blocked masked matrix-vector product."""
+    """Row-blocked masked matrix-vector product.
+
+    ``config=None``: serial unless ``a.nnz`` clears the gate.
+    """
     x = np.asarray(x)
     allow = np.asarray(allow)
-    _check(x.shape == (a.shape[1],), f"vector length {x.shape} != {(a.shape[1],)}")
-    _check(allow.shape == (a.shape[0],), f"allow length {allow.shape} != {(a.shape[0],)}")
+    _check(x.shape == (a.shape[1],), "vector length {} != {}", x.shape, (a.shape[1],))
+    _check(allow.shape == (a.shape[0],), "allow length {} != {}", allow.shape, (a.shape[0],))
     return _run_blocked(
         "parallel_masked_mxv", config, _sparse._masked_mxv_serial,
         (_Rows(a), _Whole(x), semiring, _Rows(allow)), n_rows=a.shape[0], work=a.nnz,
@@ -470,7 +528,10 @@ def parallel_masked_intersect(
     complement: bool,
     config: RuntimeConfig | None = None,
 ) -> CSRMatrix:
-    """Row-blocked fused masked element-wise intersection."""
+    """Row-blocked fused masked element-wise intersection.
+
+    ``config=None``: serial unless ``a.nnz + b.nnz`` clears the gate.
+    """
     a._check_shape(b)
     a._check_shape(mask)
     return _run_blocked(
@@ -489,7 +550,10 @@ def parallel_union_all(
     config: RuntimeConfig | None = None,
 ) -> CSRMatrix:
     """Row-blocked n-ary fused union (optionally masked): every operand
-    shares one tiling; each block concatenates its slices and coalesces once."""
+    shares one tiling; each block concatenates its slices and coalesces once.
+
+    ``config=None``: serial unless the operands' total nnz clears the gate.
+    """
     for other in [*parts[1:], *([] if mask is None else [mask])]:
         parts[0]._check_shape(other)
     return _run_blocked(

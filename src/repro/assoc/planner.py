@@ -1,10 +1,11 @@
 """The fusing planner: expression trees → staged, runtime-dispatched kernels.
 
-:func:`evaluate` walks a :class:`~repro.assoc.expr.MatExpr` /
-:class:`~repro.assoc.expr.VecExpr` tree and executes it bottom-up, applying
-the fusion rules; :func:`plan` performs the same walk without executing and
-returns an inspectable :class:`Plan`, so tests (and the masked-mxm benchmark)
-can assert *which* kernels an evaluation will run.
+One lowering, :func:`_lower`, turns a :class:`~repro.assoc.expr.MatExpr` /
+:class:`~repro.assoc.expr.VecExpr` tree and its mask into ordered steps,
+each paired with the kernel that computes it.  :func:`plan` keeps the steps
+as an inspectable :class:`Plan`, so tests (and the masked-mxm benchmark)
+can assert *which* kernels an evaluation will run; :func:`evaluate` runs
+them, and :meth:`Plan.execute` runs them with a per-step profile.
 
 Fusion rules:
 
@@ -23,31 +24,33 @@ Fusion rules:
 * **union chain collapse** — ``A + B + C`` (same monoid) runs one
   concatenate + coalesce instead of two pairwise unions.
 
-Every dispatch point consults :func:`repro.runtime.config.parallel_config`,
-so fused masked kernels run on the same row-blocked executors as the eager
-paths — with the same bit-identical serial ≡ parallel guarantee.
+Every step with a row-blocked form enters :mod:`repro.assoc.blocked`, whose
+one gate picks serial or row-blocked execution, so fused masked kernels run
+on the same executors as the eager paths — with the same bit-identical
+serial ≡ parallel guarantee.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from repro.assoc import expr as E
-from repro.assoc.sparse import (
-    CSRMatrix,
-    _masked_intersect_serial,
-    _masked_mxm_serial,
-    _masked_mxv_serial,
-    _masked_reduce_rows_serial,
-    _union_all_serial,
-    masked_select,
+from repro.assoc.blocked import (
+    parallel_ewise_intersect,
+    parallel_ewise_union,
+    parallel_masked_intersect,
+    parallel_masked_mxm,
+    parallel_masked_mxv,
+    parallel_mxv,
+    parallel_union_all,
 )
+from repro.assoc.sparse import CSRMatrix, _masked_reduce_rows_serial, masked_select
 from repro.errors import ExpressionError
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
-from repro.runtime.config import parallel_config
 
 __all__ = [
     "Step",
@@ -135,7 +138,6 @@ class Plan:
         subtree for trees the builder methods never validated (raw node
         construction, stale operands, mismatched masks).
         """
-        from repro.assoc import expr as E
         from repro.staticcheck import shapes
 
         if self.expr is None:
@@ -152,13 +154,11 @@ class Plan:
 
         Returns the evaluation result and stores one :class:`StepProfile`
         per plan step (measured wall time plus result nnz) on
-        :attr:`profile`, aligned 1:1 with :attr:`steps` — the same walk
-        :func:`evaluate` performs, with a stopwatch around each kernel.
+        :attr:`profile`, aligned 1:1 with :attr:`steps` — the same lowered
+        steps :func:`evaluate` runs, with a stopwatch around each kernel.
         When tracing is live each step additionally opens a ``plan.<kernel>``
         span, so traced runs show the plan tree inside the trace timeline.
         """
-        from repro.assoc import expr as E
-
         if self.expr is None:
             raise ExpressionError(
                 "plan carries no expression tree to execute (it was built "
@@ -167,9 +167,9 @@ class Plan:
         _obs.counter("planner.executions").inc()
         rec: list[StepProfile] = []
         if isinstance(self.expr, E.VecExpr):
-            result = evaluate_vec(self.expr, self.mask, _rec=rec)
+            result = _run(_lower_vec(self.expr, self.mask), rec)
         else:
-            result = evaluate(self.expr, self.mask, _rec=rec)
+            result = _run(_lower(self.expr, self.mask, []), rec)
         object.__setattr__(self, "profile", tuple(rec))
         return result
 
@@ -205,67 +205,6 @@ class Plan:
         return "\n".join(lines)
 
 
-# --------------------------------------------------------------------------- #
-# runtime-gated dispatch helpers
-#
-# Each helper asks ``parallel_config(work)`` whether the operation clears the
-# work-size floor, then hands the blocked entry point the active config.  The
-# blocked layer adds a second, orthogonal gate: on the ``process`` backend,
-# operands above ``RuntimeConfig.shm_min_bytes`` travel through shared-memory
-# segments (``repro.runtime.shm``) instead of being pickled per block task —
-# invisible here, because the shm path runs the same serial kernels over the
-# same row partition and so returns bit-identical results.
-# --------------------------------------------------------------------------- #
-
-
-def _dispatch_masked_mxm(
-    a: CSRMatrix, b: CSRMatrix, semiring, mask: CSRMatrix  # noqa: ANN001
-) -> CSRMatrix:
-    if a.shape[1] != b.shape[0]:
-        raise ExpressionError(f"inner dimension mismatch: {a.shape} @ {b.shape}")
-    work = int(b.row_nnz()[a.indices].sum()) if a.nnz and b.nnz else 0
-    cfg = parallel_config(work) if a.shape[0] > 1 else None
-    if cfg is not None:
-        from repro.assoc.blocked import parallel_masked_mxm
-
-        return parallel_masked_mxm(a, b, semiring, mask, cfg)
-    return _masked_mxm_serial(a, b, semiring, mask)
-
-
-def _dispatch_union_all(
-    parts: list[CSRMatrix], add, mask: CSRMatrix | None, complement: bool  # noqa: ANN001
-) -> CSRMatrix:
-    work = sum(p.nnz for p in parts)
-    cfg = parallel_config(work) if parts[0].shape[0] > 1 else None
-    if cfg is not None:
-        from repro.assoc.blocked import parallel_union_all
-
-        return parallel_union_all(parts, add, mask, complement, cfg)
-    return _union_all_serial(parts, add, mask, complement)
-
-
-def _dispatch_masked_intersect(
-    a: CSRMatrix, b: CSRMatrix, mult, mask: CSRMatrix, complement: bool  # noqa: ANN001
-) -> CSRMatrix:
-    cfg = parallel_config(a.nnz + b.nnz) if a.shape[0] > 1 else None
-    if cfg is not None:
-        from repro.assoc.blocked import parallel_masked_intersect
-
-        return parallel_masked_intersect(a, b, mult, mask, complement, cfg)
-    return _masked_intersect_serial(a, b, mult, mask, complement)
-
-
-def _dispatch_masked_mxv(
-    a: CSRMatrix, x: np.ndarray, semiring, allow: np.ndarray  # noqa: ANN001
-) -> np.ndarray:
-    cfg = parallel_config(a.nnz) if a.shape[0] > 1 else None
-    if cfg is not None:
-        from repro.assoc.blocked import parallel_masked_mxv
-
-        return parallel_masked_mxv(a, x, semiring, allow, cfg)
-    return _masked_mxv_serial(a, x, semiring, allow)
-
-
 def _check_mask(mask: E.Mask | None, shape: tuple[int, int]) -> None:
     if mask is not None and mask.shape != shape:
         raise ExpressionError(
@@ -274,7 +213,117 @@ def _check_mask(mask: E.Mask | None, shape: tuple[int, int]) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# evaluation
+# the one lowering: tree → steps paired with kernels
+# --------------------------------------------------------------------------- #
+
+
+class _Op(NamedTuple):
+    """One lowered step: the :class:`Step` a plan shows, how many operand
+    values it takes off the evaluation stack, and the kernel over them."""
+
+    step: Step
+    arity: int
+    run: Callable[..., object]
+
+
+def _emit(ops: list[_Op], kernel: str, arity: int, run: Callable[..., object], **step: Any) -> None:
+    ops.append(_Op(Step(kernel, **step), arity, run))
+
+
+def _lower(e: E.MatExpr, mask: E.Mask | None, ops: list[_Op]) -> list[_Op]:
+    """Append the steps evaluating *e* under *mask* to *ops*, children first.
+
+    This is the only statement of the fusion rules: :func:`plan` keeps the
+    steps, :func:`evaluate` and :meth:`Plan.execute` run the kernels.  Each
+    kernel with a row-blocked form enters :mod:`repro.assoc.blocked`, whose
+    gate picks the route after the kernel's shape checks.
+    """
+    _check_mask(mask, e.shape)
+    if isinstance(e, E.MatLeaf):
+        note = "transposed (cached descriptor)" if e.transposed else ""
+        _emit(ops, "leaf", 0, e.resolve, note=note)
+        if mask is not None:
+            _emit(ops, "masked_select", 1,
+                  lambda a: masked_select(a, mask.pattern, mask.complement), fused_mask=True)
+    elif isinstance(e, E.MxM):
+        _lower(e.left, None, ops)
+        _lower(e.right, None, ops)
+        mxm = lambda a, b: a._mxm_dispatch(b, e.semiring)
+        if mask is None:
+            _emit(ops, "mxm", 2, mxm)
+        elif mask.complement:
+            _emit(ops, "mxm", 2, mxm)
+            _emit(ops, "mask_filter", 1, lambda c: masked_select(c, mask.pattern, True),
+                  note="complement mask: full product then filter")
+        else:
+            _emit(ops, "masked_mxm", 2,
+                  lambda a, b: parallel_masked_mxm(a, b, e.semiring, mask.pattern),
+                  fused_mask=True, note="masked rows never expanded")
+    elif isinstance(e, E.UnionAll):
+        # mask pushdown only into compound children (their evaluation fuses
+        # it); leaf operands stay unfiltered and the fused union kernel
+        # filters their triples inline, pre-sort — no double filtering of
+        # leaves, and no intermediate per-leaf selects
+        for p in e.parts:
+            _lower(p, None if isinstance(p, E.MatLeaf) else mask, ops)
+        n = len(e.parts)
+        if mask is not None:
+            run = (lambda a: masked_select(a, mask.pattern, mask.complement)) if n == 1 else (
+                lambda *ps: parallel_union_all(list(ps), e.add, mask.pattern, mask.complement))
+            _emit(ops, "masked_union", n, run,
+                  fused_mask=True, note=f"{n}-way fused, triples filtered pre-sort")
+        elif n == 2:
+            _emit(ops, "ewise_union", 2, lambda a, b: parallel_ewise_union(a, b, e.add))
+        else:  # the 1-way union is a pass-through, still its own step
+            run = (lambda a: a) if n == 1 else (
+                lambda *ps: parallel_union_all(list(ps), e.add, None, False))
+            _emit(ops, "union_all", n, run, note=f"{n}-way fused")
+    elif isinstance(e, E.EWiseMult):
+        # mask pushdown: (A⟨M⟩ ⊗ B) == (A ⊗ B)⟨M⟩.  A leaf left operand is
+        # filtered once, inline in the fused kernel; a compound left operand
+        # evaluates fused under the mask (the kernel's re-check of its
+        # already-restricted triples is the cheaper side of that trade)
+        _lower(e.left, None if isinstance(e.left, E.MatLeaf) else mask, ops)
+        _lower(e.right, None, ops)
+        if mask is None:
+            _emit(ops, "ewise_intersect", 2, lambda a, b: parallel_ewise_intersect(a, b, e.mult))
+        else:
+            _emit(ops, "masked_intersect", 2,
+                  lambda a, b: parallel_masked_intersect(a, b, e.mult, mask.pattern, mask.complement),
+                  fused_mask=True, note="mask pushed to left operand")
+    elif isinstance(e, E.TransposeExpr):
+        _lower(e.child, None if mask is None else mask.transpose(), ops)
+        note = "mask pushed through transpose" if mask else ""
+        _emit(ops, "transpose", 1, CSRMatrix.transpose, note=note)
+    else:
+        raise ExpressionError(f"unknown expression node {type(e).__name__}")
+    return ops
+
+
+def _lower_vec(v: E.VecExpr, allow: np.ndarray | None) -> list[_Op]:
+    """The steps evaluating *v*; *allow* is a dense boolean row mask with any
+    complement already applied."""
+    if isinstance(v, E.MxV):
+        ops = _lower(v.mat, None, [])
+        if allow is None:
+            _emit(ops, "mxv", 1, lambda a: parallel_mxv(a, v.x, v.semiring))
+        else:
+            _emit(ops, "masked_mxv", 1, lambda a: parallel_masked_mxv(a, v.x, v.semiring, allow),
+                  fused_mask=True, note="masked rows skipped")
+    elif isinstance(v, E.ReduceRows):
+        ops = _lower(v.mat, None, [])
+        if allow is None:
+            _emit(ops, "reduce_rows", 1, lambda a: a.reduce_rows(v.add))
+        else:
+            _emit(ops, "masked_reduce_rows", 1,
+                  lambda a: _masked_reduce_rows_serial(a, v.add, allow), fused_mask=True)
+    else:
+        raise ExpressionError(f"unknown vector expression node {type(v).__name__}")
+    return ops
+
+
+# --------------------------------------------------------------------------- #
+# running lowered steps
 # --------------------------------------------------------------------------- #
 
 
@@ -288,241 +337,44 @@ def _result_nnz(result: object) -> int | None:
     return None
 
 
-def _step(rec: "list[StepProfile] | None", kernel: str, thunk):  # noqa: ANN001, ANN201
-    """Run one plan step, appending a :class:`StepProfile` when recording.
+def _run(ops: list[_Op], profile: list[StepProfile] | None = None):  # noqa: ANN201
+    """Run lowered *ops* on a value stack; the last step's value is the result.
 
-    The un-profiled path (``rec is None`` — every plain :func:`evaluate`
-    call) is a bare ``thunk()``: profiling costs nothing unless
-    :meth:`Plan.execute` asked for it.  Step order matches
-    :func:`_plan_mat`'s emission order exactly, so the recorded profile
-    aligns 1:1 with :attr:`Plan.steps`.
+    Each step replaces its operands on the stack with its value, so an
+    intermediate lives only until its consumer has run.  With *profile*,
+    each step runs under a ``plan.<kernel>`` span and appends its
+    :class:`StepProfile`; without it a step is a bare kernel call.
     """
-    if rec is None:
-        return thunk()
-    tracer = _trace.get_tracer()
-    t0 = _obs.monotonic_ns()
-    with tracer.span(f"plan.{kernel}"):
-        out = thunk()
-    rec.append(StepProfile(kernel, _obs.monotonic_ns() - t0, _result_nnz(out)))
-    return out
+    stack: list = []
+    for step, arity, run in ops:
+        at = len(stack) - arity
+        if profile is None:
+            stack[at:] = [run(*stack[at:])]
+            continue
+        t0 = _obs.monotonic_ns()
+        with _trace.get_tracer().span(f"plan.{step.kernel}"):
+            out = run(*stack[at:])
+        profile.append(StepProfile(step.kernel, _obs.monotonic_ns() - t0, _result_nnz(out)))
+        stack[at:] = [out]
+    return stack.pop()
 
 
-def evaluate(
-    e: E.MatExpr,
-    mask: E.Mask | None = None,
-    *,
-    _rec: "list[StepProfile] | None" = None,
-) -> CSRMatrix:
-    """Execute a matrix expression, fusing *mask* into the kernels.
-
-    ``_rec`` (internal, used by :meth:`Plan.execute`) collects one
-    :class:`StepProfile` per plan step in :func:`_plan_mat` emission order.
-    """
-    _check_mask(mask, e.shape)
-    if isinstance(e, E.MatLeaf):
-        csr = _step(_rec, "leaf", e.resolve)
-        if mask is None:
-            return csr
-        return _step(
-            _rec,
-            "masked_select",
-            lambda: masked_select(csr, mask.pattern, mask.complement),
-        )
-    if isinstance(e, E.MxM):
-        a = evaluate(e.left, None, _rec=_rec)
-        b = evaluate(e.right, None, _rec=_rec)
-        if mask is None:
-            return _step(_rec, "mxm", lambda: a._mxm_dispatch(b, e.semiring))
-        if mask.complement:
-            full = _step(_rec, "mxm", lambda: a._mxm_dispatch(b, e.semiring))
-            return _step(
-                _rec, "mask_filter", lambda: masked_select(full, mask.pattern, True)
-            )
-        return _step(
-            _rec,
-            "masked_mxm",
-            lambda: _dispatch_masked_mxm(a, b, e.semiring, mask.pattern),
-        )
-    if isinstance(e, E.UnionAll):
-        if mask is None:
-            parts = [evaluate(p, None, _rec=_rec) for p in e.parts]
-            if len(parts) == 1:
-                # the 1-way union is a pass-through; still recorded so the
-                # profile stays aligned with the planned "union_all" step
-                return _step(_rec, "union_all", lambda: parts[0])
-            if len(parts) == 2:
-                return _step(
-                    _rec,
-                    "ewise_union",
-                    lambda: parts[0]._ewise_union_dispatch(parts[1], e.add),
-                )
-            return _step(
-                _rec, "union_all", lambda: _dispatch_union_all(parts, e.add, None, False)
-            )
-        # mask pushdown only into compound children (their evaluation fuses
-        # it); leaf operands stay unfiltered and the fused union kernel
-        # filters their triples inline, pre-sort — no double filtering of
-        # leaves, and no intermediate per-leaf selects
-        parts = [
-            evaluate(p, None, _rec=_rec) if isinstance(p, E.MatLeaf) else evaluate(p, mask, _rec=_rec)
-            for p in e.parts
-        ]
-        if len(parts) == 1:
-            return _step(
-                _rec,
-                "masked_union",
-                lambda: masked_select(parts[0], mask.pattern, mask.complement),
-            )
-        return _step(
-            _rec,
-            "masked_union",
-            lambda: _dispatch_union_all(parts, e.add, mask.pattern, mask.complement),
-        )
-    if isinstance(e, E.EWiseMult):
-        if mask is None:
-            a = evaluate(e.left, None, _rec=_rec)
-            b = evaluate(e.right, None, _rec=_rec)
-            return _step(
-                _rec, "ewise_intersect", lambda: a._ewise_intersect_dispatch(b, e.mult)
-            )
-        # mask pushdown: (A⟨M⟩ ⊗ B) == (A ⊗ B)⟨M⟩.  A leaf left operand is
-        # filtered once, inline in the fused kernel; a compound left operand
-        # evaluates fused under the mask (the kernel's re-check of its
-        # already-restricted triples is the cheaper side of that trade)
-        a = (
-            evaluate(e.left, None, _rec=_rec)
-            if isinstance(e.left, E.MatLeaf)
-            else evaluate(e.left, mask, _rec=_rec)
-        )
-        b = evaluate(e.right, None, _rec=_rec)
-        return _step(
-            _rec,
-            "masked_intersect",
-            lambda: _dispatch_masked_intersect(
-                a, b, e.mult, mask.pattern, mask.complement
-            ),
-        )
-    if isinstance(e, E.TransposeExpr):
-        pushed = None if mask is None else mask.transpose()
-        child = evaluate(e.child, pushed, _rec=_rec)
-        return _step(_rec, "transpose", child.transpose)
-    raise ExpressionError(f"unknown expression node {type(e).__name__}")
+def evaluate(e: E.MatExpr, mask: E.Mask | None = None) -> CSRMatrix:
+    """Execute a matrix expression, fusing *mask* into the kernels."""
+    return _run(_lower(e, mask, []))
 
 
-def evaluate_vec(
-    v: E.VecExpr,
-    allow: np.ndarray | None = None,
-    *,
-    _rec: "list[StepProfile] | None" = None,
-) -> np.ndarray:
+def evaluate_vec(v: E.VecExpr, allow: np.ndarray | None = None) -> np.ndarray:
     """Execute a vector expression; *allow* is a dense boolean row mask with
     any complement already applied."""
-    if isinstance(v, E.MxV):
-        a = evaluate(v.mat, None, _rec=_rec)
-        if allow is None:
-            return _step(_rec, "mxv", lambda: a._mxv_dispatch(v.x, v.semiring))
-        return _step(
-            _rec,
-            "masked_mxv",
-            lambda: _dispatch_masked_mxv(a, v.x, v.semiring, allow),
-        )
-    if isinstance(v, E.ReduceRows):
-        a = evaluate(v.mat, None, _rec=_rec)
-        if allow is None:
-            return _step(_rec, "reduce_rows", lambda: a.reduce_rows(v.add))
-        return _step(
-            _rec,
-            "masked_reduce_rows",
-            lambda: _masked_reduce_rows_serial(a, v.add, allow),
-        )
-    raise ExpressionError(f"unknown vector expression node {type(v).__name__}")
-
-
-# --------------------------------------------------------------------------- #
-# static planning (same walk, no execution)
-# --------------------------------------------------------------------------- #
+    return _run(_lower_vec(v, allow))
 
 
 def plan(e: E.MatExpr, mask: E.Mask | None = None) -> Plan:
-    """The kernel schedule :func:`evaluate` would follow for this tree."""
-    steps: list[Step] = []
-    _plan_mat(e, mask, steps)
-    return Plan(tuple(steps), expr=e, mask=mask)
+    """The kernel schedule :func:`evaluate` follows for this tree."""
+    return Plan(tuple(op.step for op in _lower(e, mask, [])), expr=e, mask=mask)
 
 
 def plan_vec(v: E.VecExpr, allow: np.ndarray | None = None) -> Plan:
-    steps: list[Step] = []
-    if isinstance(v, E.MxV):
-        _plan_mat(v.mat, None, steps)
-        if allow is None:
-            steps.append(Step("mxv"))
-        else:
-            steps.append(Step("masked_mxv", fused_mask=True, note="masked rows skipped"))
-    elif isinstance(v, E.ReduceRows):
-        _plan_mat(v.mat, None, steps)
-        if allow is None:
-            steps.append(Step("reduce_rows"))
-        else:
-            steps.append(Step("masked_reduce_rows", fused_mask=True))
-    else:
-        raise ExpressionError(f"unknown vector expression node {type(v).__name__}")
-    return Plan(tuple(steps), expr=v, mask=allow)
-
-
-def _plan_mat(e: E.MatExpr, mask: E.Mask | None, steps: list[Step]) -> None:
-    _check_mask(mask, e.shape)
-    if isinstance(e, E.MatLeaf):
-        note = "transposed (cached descriptor)" if e.transposed else ""
-        steps.append(Step("leaf", note=note))
-        if mask is not None:
-            steps.append(Step("masked_select", fused_mask=True))
-        return
-    if isinstance(e, E.MxM):
-        _plan_mat(e.left, None, steps)
-        _plan_mat(e.right, None, steps)
-        if mask is None:
-            steps.append(Step("mxm"))
-        elif mask.complement:
-            steps.append(Step("mxm"))
-            steps.append(
-                Step("mask_filter", note="complement mask: full product then filter")
-            )
-        else:
-            steps.append(
-                Step("masked_mxm", fused_mask=True, note="masked rows never expanded")
-            )
-        return
-    if isinstance(e, E.UnionAll):
-        for p in e.parts:
-            child_mask = None if (mask is None or isinstance(p, E.MatLeaf)) else mask
-            _plan_mat(p, child_mask, steps)
-        if mask is None and len(e.parts) == 2:
-            steps.append(Step("ewise_union"))
-        elif mask is None:
-            steps.append(Step("union_all", note=f"{len(e.parts)}-way fused"))
-        else:
-            steps.append(
-                Step(
-                    "masked_union",
-                    fused_mask=True,
-                    note=f"{len(e.parts)}-way fused, triples filtered pre-sort",
-                )
-            )
-        return
-    if isinstance(e, E.EWiseMult):
-        if mask is None:
-            _plan_mat(e.left, None, steps)
-            _plan_mat(e.right, None, steps)
-            steps.append(Step("ewise_intersect"))
-        else:
-            left_mask = None if isinstance(e.left, E.MatLeaf) else mask
-            _plan_mat(e.left, left_mask, steps)
-            _plan_mat(e.right, None, steps)
-            steps.append(Step("masked_intersect", fused_mask=True, note="mask pushed to left operand"))
-        return
-    if isinstance(e, E.TransposeExpr):
-        pushed = None if mask is None else mask.transpose()
-        _plan_mat(e.child, pushed, steps)
-        steps.append(Step("transpose", note="mask pushed through transpose" if mask else ""))
-        return
-    raise ExpressionError(f"unknown expression node {type(e).__name__}")
+    """The kernel schedule :func:`evaluate_vec` follows for this tree."""
+    return Plan(tuple(op.step for op in _lower_vec(v, allow)), expr=v, mask=allow)

@@ -14,9 +14,10 @@ packet counting share the code path.
 
 When the process opts in via :func:`repro.runtime.configure`, the heavy
 kernels (``coalesce``, ``mxm``, ``mxv``, the element-wise ops) transparently
-dispatch to the row-blocked parallel engine in :mod:`repro.assoc.blocked`.
-Blocked execution preserves the serial kernels' exact per-row term order, so
-both paths return bit-identical matrices.
+dispatch to the row-blocked parallel engine in :mod:`repro.assoc.blocked`,
+whose one gate picks each call's route.  Blocked execution preserves the
+serial kernels' exact per-row term order, so both paths return
+bit-identical matrices.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from repro.assoc.semiring import Monoid, PLUS_MONOID, PLUS_TIMES, Semiring
 from repro.errors import SparseFormatError
-from repro.runtime.config import parallel_config
 
 if TYPE_CHECKING:  # pragma: no cover
     import scipy.sparse as sp
@@ -61,12 +61,9 @@ def coalesce(
         return rows, cols, vals
     if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
         raise SparseFormatError(f"triple coordinates out of bounds for shape {shape}")
-    cfg = parallel_config(rows.size) if n_rows > 1 else None
-    if cfg is not None:
-        from repro.assoc.blocked import parallel_coalesce
+    from repro.assoc.blocked import parallel_coalesce
 
-        return parallel_coalesce(rows, cols, vals, shape, add, cfg)
-    return _coalesce_core(rows, cols, vals, shape, add)
+    return parallel_coalesce(rows, cols, vals, shape, add)
 
 
 def _coalesce_core(
@@ -369,16 +366,6 @@ class CSRMatrix:
 
         return expr.as_expr(self).ewise(other, add, how="union").new()
 
-    def _ewise_union_dispatch(self, other: "CSRMatrix", add: Monoid) -> "CSRMatrix":
-        """The eager union kernel with runtime gating (planner dispatch target)."""
-        self._check_shape(other)
-        cfg = parallel_config(self.nnz + other.nnz) if self.shape[0] > 1 else None
-        if cfg is not None:
-            from repro.assoc.blocked import parallel_ewise_union
-
-            return parallel_ewise_union(self, other, add, cfg)
-        return self._ewise_union_serial(other, add)
-
     def _ewise_union_serial(self, other: "CSRMatrix", add: Monoid) -> "CSRMatrix":
         r1, c1, v1 = self.triples()
         r2, c2, v2 = other.triples()
@@ -396,16 +383,6 @@ class CSRMatrix:
         from repro.assoc import expr
 
         return expr.as_expr(self).ewise(other, mult, how="intersect").new()
-
-    def _ewise_intersect_dispatch(self, other: "CSRMatrix", mult) -> "CSRMatrix":  # noqa: ANN001
-        """The eager intersect kernel with runtime gating (planner dispatch target)."""
-        self._check_shape(other)
-        cfg = parallel_config(self.nnz + other.nnz) if self.shape[0] > 1 else None
-        if cfg is not None:
-            from repro.assoc.blocked import parallel_ewise_intersect
-
-            return parallel_ewise_intersect(self, other, mult, cfg)
-        return self._ewise_intersect_serial(other, mult)
 
     def _ewise_intersect_serial(self, other: "CSRMatrix", mult) -> "CSRMatrix":  # noqa: ANN001
         n_cols = np.int64(self.shape[1])
@@ -430,18 +407,6 @@ class CSRMatrix:
         from repro.assoc import expr
 
         return expr.as_expr(self).mxv(x, semiring).new()
-
-    def _mxv_dispatch(self, x: np.ndarray, semiring: Semiring) -> np.ndarray:
-        """The eager mxv kernel with runtime gating (planner dispatch target)."""
-        x = np.asarray(x)
-        if x.shape != (self.shape[1],):
-            raise SparseFormatError(f"vector length {x.shape} != {(self.shape[1],)}")
-        cfg = parallel_config(self.nnz) if self.shape[0] > 1 else None
-        if cfg is not None:
-            from repro.assoc.blocked import parallel_mxv
-
-            return parallel_mxv(self, x, semiring, cfg)
-        return self._mxv_serial(x, semiring)
 
     def _mxv_serial(self, x: np.ndarray, semiring: Semiring) -> np.ndarray:
         prod = semiring.mult(self.data, x[self.indices])
@@ -478,44 +443,18 @@ class CSRMatrix:
         return expr.as_expr(self).mxm(other, semiring).new()
 
     def _mxm_dispatch(self, other: "CSRMatrix", semiring: Semiring) -> "CSRMatrix":
-        """The eager mxm kernel with runtime gating (planner dispatch target)."""
-        if self.shape[1] != other.shape[0]:
-            raise SparseFormatError(
-                f"inner dimension mismatch: {self.shape} @ {other.shape}"
-            )
+        """The planner's ``mxm`` step: the blocked layer's gate picks the route."""
+        from repro.assoc.blocked import parallel_mxm
+
+        return parallel_mxm(self, other, semiring)
+
+    def _mxm_serial(self, other: "CSRMatrix", semiring: Semiring) -> "CSRMatrix":
+        """The serial ESC product."""
         out_shape = (self.shape[0], other.shape[1])
-        if self.nnz == 0 or other.nnz == 0:
-            dtype = np.result_type(self.dtype, other.dtype)
-            return CSRMatrix.empty(out_shape, dtype)
-        b_row_nnz = other.row_nnz()
-        counts = b_row_nnz[self.indices]  # products contributed by each A entry
+        counts = other.row_nnz()[self.indices]  # products contributed by each A entry
         total = int(counts.sum())
         if total == 0:
-            dtype = np.result_type(self.dtype, other.dtype)
-            return CSRMatrix.empty(out_shape, dtype)
-        cfg = parallel_config(total) if self.shape[0] > 1 else None
-        if cfg is not None:
-            from repro.assoc.blocked import parallel_mxm
-
-            return parallel_mxm(self, other, semiring, cfg)
-        return self._mxm_serial(other, semiring, counts, total)
-
-    def _mxm_serial(
-        self,
-        other: "CSRMatrix",
-        semiring: Semiring,
-        counts: np.ndarray | None = None,
-        total: int | None = None,
-    ) -> "CSRMatrix":
-        """The serial ESC product; *counts*/*total* may be precomputed by mxm."""
-        out_shape = (self.shape[0], other.shape[1])
-        if counts is None:
-            if self.nnz == 0 or other.nnz == 0:
-                return CSRMatrix.empty(out_shape, np.result_type(self.dtype, other.dtype))
-            counts = other.row_nnz()[self.indices]
-            total = int(counts.sum())
-            if total == 0:
-                return CSRMatrix.empty(out_shape, np.result_type(self.dtype, other.dtype))
+            return CSRMatrix.empty(out_shape, np.result_type(self.dtype, other.dtype))
         a_rows = np.repeat(np.arange(self.shape[0], dtype=np.int64), self.row_nnz())
         out_rows = np.repeat(a_rows, counts)
         offsets = np.repeat(other.indptr[self.indices], counts)

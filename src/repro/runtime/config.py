@@ -274,9 +274,10 @@ def serial_region() -> Iterator[None]:
 def parallel_config(work_items: int) -> RuntimeConfig | None:
     """The active config if *work_items* should run in parallel, else ``None``.
 
-    This is the single gate every dispatching kernel calls: it folds together
-    the opt-in (``workers > 1``), the work-size floor, and the nested-region
-    guard.
+    It folds together the opt-in (``workers > 1``), the work-size floor, and
+    the nested-region guard.  Two callers: ``repro.assoc.blocked._route``,
+    the one serial-or-blocked gate for every assoc kernel call, and the
+    sparse-path choice of ``repro.graphs.compose.overlay``.
     """
     cfg = _config
     if not cfg.parallel or work_items < cfg.min_parallel_work or in_serial_region():

@@ -5,7 +5,7 @@ import pytest
 
 from repro import runtime
 from repro.assoc import expr as E
-from repro.assoc.planner import evaluate, evaluate_vec
+from repro.assoc.planner import evaluate
 from repro.assoc.semiring import PLUS_MONOID
 from repro.assoc.sparse import CSRMatrix
 from repro.errors import ExpressionError
@@ -166,10 +166,10 @@ class TestProfileSemantics:
         evaluate(plan.expr)
         assert plan.profile is None
 
-    def test_evaluate_vec_rec_threading(self, a):
-        rec = []
-        evaluate_vec(E.lazy(a).mxv(np.ones(20)), _rec=rec)
-        assert [p.kernel for p in rec] == ["leaf", "mxv"]
+    def test_vec_plan_execute_profiles_every_step(self, a):
+        plan = E.lazy(a).mxv(np.ones(20)).plan()
+        plan.execute()
+        assert [p.kernel for p in plan.profile] == ["leaf", "mxv"]
 
     def test_traced_execute_opens_plan_spans(self, a, b):
         runtime.configure(tracing=True)
